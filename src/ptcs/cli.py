@@ -39,7 +39,6 @@ import numpy as np
 
 from .operators import PotentialParams, energy, g_value, variance_pair
 from .position import gauss_legendre_grid, grid_inner_product, wavefunction
-from .specfun import ConvergenceError
 from .states import (
     GKLabel,
     ISLabel,
@@ -382,13 +381,12 @@ def main(argv=None):
     try:
         config = config_from_args(args)
         config.params()  # validate bounds before doing any work
-        if config.label() is not None:
-            pass  # label validation happens here too
+        config.label()  # validates the label flags too
         return _COMMANDS[config.command](config)
     except (ValueError, KeyError) as exc:
         print(f"pt-cs: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConvergenceError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # ConvergenceError included
         print(f"pt-cs: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

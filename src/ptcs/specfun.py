@@ -215,10 +215,18 @@ def bessel_i(nu, x, control=DEFAULT_CONTROL):
 _GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-def bessel_k(nu, x):
-    """Modified Bessel function K_nu(x) for x > 0.
+def _k_cutoff(nu, x):
+    """Truncation point of the K_nu(x) integral: residual integrand below ~1e-326."""
+    t_max = max(math.asinh(nu / x), 1.0)
+    while x * math.cosh(t_max) - nu * t_max < 750.0 and t_max < 120.0:
+        t_max += 0.5
+    return t_max
 
-    Evaluated from the integral representation
+
+def bessel_k(nu, x):
+    """Modified Bessel function K_nu(x) for finite x > 0.
+
+    Evaluated from the integral representation (DLMF 10.32.9)
 
         K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt
 
@@ -226,28 +234,34 @@ def bessel_k(nu, x):
     scale (narrow near t = 0 for large x, widening geometrically towards
     the truncation point).  Even in nu by construction, so negative orders
     are accepted.
+
+    A scalar x returns a float; an ndarray x returns an ndarray of its
+    shape.  Each element keeps its own truncation point and panels (only
+    the panel loop runs across elements), so values are bit-identical to
+    scalar calls.  Non-finite nu, or x not finite and > 0, is a ValueError.
     """
-    if x <= 0.0:
-        raise ValueError(f"argument must be > 0, got {x}")
     nu = abs(float(nu))
-    # truncation point: residual integrand below ~1e-326
-    t_max = max(math.asinh(nu / x), 1.0)
-    while x * math.cosh(t_max) - nu * t_max < 750.0 and t_max < 120.0:
-        t_max += 0.5
-    width = min(0.5, 1.0 / math.sqrt(1.0 + x))
-    total = 0.0
-    lo = 0.0
-    while lo < t_max:
-        hi = min(t_max, lo + width)
-        mid = 0.5 * (lo + hi)
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    if not (math.isfinite(nu) and np.all(np.isfinite(flat) & (flat > 0.0))):
+        raise ValueError(f"need finite nu and finite x > 0, got nu={nu}, x={x}")
+    top = np.array([_k_cutoff(nu, xi) for xi in flat.tolist()])
+    width = np.minimum(0.5, 1.0 / np.sqrt(1.0 + flat))
+    lo, total, neg_x = np.zeros_like(flat), np.zeros_like(flat), -flat
+    out = np.empty_like(flat)
+    live = np.arange(flat.size)  # top >= 1, so every element has a panel
+    while live.size:
+        hi = np.minimum(top, lo + width)
         rad = 0.5 * (hi - lo)
-        t = rad * _GL24_NODES + mid
-        total += rad * np.sum(
-            _GL24_WEIGHTS * np.exp(-x * np.cosh(t)) * np.cosh(nu * t)
-        )
-        lo = hi
-        width *= 1.4
-    return float(total)
+        t = rad[:, None] * _GL24_NODES + (0.5 * (lo + hi))[:, None]
+        f = _GL24_WEIGHTS * np.exp(neg_x[:, None] * np.cosh(t)) * np.cosh(nu * t)
+        total += rad * f.sum(axis=1)
+        lo, width, keep = hi, width * 1.4, hi < top
+        if not keep.all():  # store and drop the elements that reached their t_max
+            out[live[~keep]] = total[~keep]
+            live, lo, width, top, neg_x, total = (
+                a[keep] for a in (live, lo, width, top, neg_x, total))
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def hyp0f1(b, x, control=DEFAULT_CONTROL):

@@ -148,7 +148,7 @@ def pi_table(params, n_max, j_max):
     return table
 
 
-def cn_series(params, n, zmod, j_max):
+def cn_series(params, n, zmod, j_max, table=None):
     """Expansion coefficient c_n(|z|) from its alternating nested-sum series.
 
     c_n = sum_j (-|z|^2)^j pi(n+1, j) / (n+2j)!.  For integer
@@ -156,13 +156,18 @@ def cn_series(params, n, zmod, j_max):
     arithmetic (the float argument is used exactly), so the alternating
     cancellation costs no precision; otherwise floats are used.  Raises
     ConvergenceError if j_max leaves the last term above the convergence
-    threshold.
+    threshold.  ``table`` may be a pi_table for the same params with
+    n_max >= n and the same j_max, shared between calls; by default one
+    is built here.
     """
     if n < 0 or n != int(n):
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if zmod < 0.0:
         raise ValueError(f"zmod must be >= 0, got {zmod}")
-    table = pi_table(params, n, j_max)
+    if table is None:
+        table = pi_table(params, n, j_max)
+    elif (n + 1, j_max) not in table:
+        raise ValueError(f"table lacks pi({n + 1}, {j_max}); need n_max >= {n}, j_max = {j_max}")
     exact = float(params.strength_sum).is_integer()
     if exact:
         r2 = Fraction(zmod) ** 2
@@ -308,8 +313,7 @@ def gk_moment_oracle(params, n, nu, radial_nodes=200):
     if log_integrand(t_max) - peak_log > math.log(1e-16):
         raise ConvergenceError("radial tail still significant at cutoff", t_max)
     t, w = _gl_panels(0.0, t_max, radial_nodes)
-    kvals = np.array([bessel_k(nu, ti) for ti in t])
-    integral = float(np.sum(w * t ** (mu - 1.0) * kvals))
+    integral = float(np.sum(w * t ** (mu - 1.0) * bessel_k(nu, t)))
     log_ref = log_gamma(n + 1.0) + log_gamma(n + s + 1.0) + (2.0 * n + s) * math.log(2.0)
     return integral / math.exp(log_ref)
 
@@ -397,10 +401,11 @@ def _check_displacement(params, dim=120):
 
 
 def _check_cn_triple(params):
+    table = pi_table(params, 8, 80)
     worst = 0.0
     for n in range(0, 9):
         for zmod in (0.1, 0.4, 0.9):
-            series = cn_series(params, n, zmod, j_max=80)
+            series = cn_series(params, n, zmod, 80, table)
             closed = cn_closed_form(params, n, zmod)
             jfn = cn_from_jacobi_fn(params, n, zmod)
             scale = max(abs(closed), 1e-300)
@@ -443,16 +448,17 @@ def _check_cn_ode(params, zmod=0.5, n_max=6):
     """|z| c_n' = c_{n-1} - n c_n - (n+1)(n+1+s) |z|^2 c_{n+1}, via 5-point stencil."""
     s = params.strength_sum
     h = 1e-3
+    table = pi_table(params, n_max + 1, 80)
     worst = 0.0
     for n in range(0, n_max + 1):
         def c(r, k=n):
-            return cn_series(params, k, r, j_max=80)
+            return cn_series(params, k, r, 80, table)
 
         deriv = (-c(zmod + 2 * h) + 8 * c(zmod + h) - 8 * c(zmod - h) + c(zmod - 2 * h)) / (
             12.0 * h
         )
-        lower = cn_series(params, n - 1, zmod, 80) if n >= 1 else 0.0
-        upper = cn_series(params, n + 1, zmod, 80)
+        lower = c(zmod, n - 1) if n >= 1 else 0.0
+        upper = c(zmod, n + 1)
         rhs = lower - n * c(zmod) - (n + 1.0) * (n + 1.0 + s) * zmod * zmod * upper
         worst = max(worst, abs(zmod * deriv - rhs))
     return VerifyReport(

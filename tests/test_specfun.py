@@ -189,6 +189,24 @@ class TestBesselI:
             bessel_i(1.0, -1.0)
 
 
+def bessel_k_panel_loop(nu, x):
+    """One-argument panel loop that array bessel_k must reproduce bit for bit."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    nu = abs(nu)
+    t_max = max(math.asinh(nu / x), 1.0)
+    while x * math.cosh(t_max) - nu * t_max < 750.0 and t_max < 120.0:
+        t_max += 0.5
+    width = min(0.5, 1.0 / math.sqrt(1.0 + x))
+    total, lo = 0.0, 0.0
+    while lo < t_max:
+        hi = min(t_max, lo + width)
+        rad = 0.5 * (hi - lo)
+        t = rad * nodes + 0.5 * (lo + hi)
+        total += rad * np.sum(weights * np.exp(-x * np.cosh(t)) * np.cosh(nu * t))
+        lo, width = hi, width * 1.4
+    return float(total)
+
+
 class TestBesselK:
     @pytest.mark.parametrize("x", [1e-3, 0.1, 1.0, 10.0, 50.0])
     def test_half_integer_closed_form(self, x):
@@ -214,7 +232,7 @@ class TestBesselK:
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             t = 0.5 * (b - a) * base_x + 0.5 * (a + b)
-            k = np.array([bessel_k(nu, ti) for ti in t])
+            k = bessel_k(nu, t)
             total += 0.5 * (b - a) * float(np.sum(base_w * t ** (mu - 1.0) * k))
         assert total == pytest.approx(ref, rel=1e-6)
 
@@ -222,11 +240,35 @@ class TestBesselK:
         ref = 2.0**2 * math.exp(log_gamma(2.5) + log_gamma(1.5))
         assert ref == pytest.approx(1.5 * math.pi, rel=1e-13)
 
+    @pytest.mark.parametrize("nu", [0.3, 2.2, 5.7, 8.0])
+    def test_array_matches_scalar_bitwise(self, nu):
+        xs = np.logspace(-3.0, 3.0, 61)
+        reference = [bessel_k_panel_loop(nu, x) for x in xs.tolist()]
+        assert bessel_k(nu, xs).tolist() == reference
+        assert [bessel_k(nu, x) for x in xs] == reference
+        grid = xs[:60].reshape(3, 4, 5)
+        out = bessel_k(nu, grid)
+        assert out.shape == grid.shape
+        assert out.ravel().tolist() == [bessel_k(nu, x) for x in grid.ravel()]
+
+    def test_scalar_returns_float(self):
+        assert type(bessel_k(2.2, 1.5)) is float
+        assert type(bessel_k(2.2, np.float64(1.5))) is float
+        assert type(bessel_k(2.2, 3)) is float
+
     def test_domain(self):
         with pytest.raises(ValueError):
             bessel_k(1.0, 0.0)
         with pytest.raises(ValueError):
             bessel_k(1.0, -2.0)
+        for nu, x in [(2.0, math.nan), (2.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)]:
+            with pytest.raises(ValueError):
+                bessel_k(nu, x)
+        for bad in (0.0, -2.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                bessel_k(2.0, np.array([1.0, bad, 3.0]))
+        with pytest.raises(ValueError):
+            bessel_k(math.nan, np.array([1.0, 2.0]))
 
 
 class TestHyp0f1:

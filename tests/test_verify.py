@@ -185,6 +185,15 @@ class TestPiTable:
                 rhs = (n + 1) * ((n + 1) + s) * table[(n + 2, j - 1)]
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("params", [P22, PASYM], ids=["integer-s", "float-s"])
+    def test_bigger_table_holds_same_prefix(self, params):
+        big = pi_table(params, 9, 80)
+        for n in range(0, 10):
+            small = pi_table(params, n, 80)
+            assert all(big[key] == value for key, value in small.items())
+        kind = int if params is P22 else float
+        assert all(type(value) is kind for value in big.values())
+
     def test_nested_sum_brute_force_oracle(self):
         # j = 2 entry computed from the literal double sum
         s = 4
@@ -219,6 +228,19 @@ class TestCnSeries:
         series = cn_series(PASYM, 3, 0.4, 60)
         closed = cn_closed_form(PASYM, 3, 0.4)
         assert series == pytest.approx(closed, rel=1e-8)
+
+    @pytest.mark.parametrize("params", [P22, PASYM], ids=["integer-s", "float-s"])
+    def test_shared_table_gives_same_values(self, params):
+        table = pi_table(params, 9, 80)
+        for n in (0, 1, 4, 9):
+            for zmod in (0.1, 0.4, 0.9):
+                assert cn_series(params, n, zmod, 80, table) == cn_series(params, n, zmod, 80)
+
+    def test_table_without_row_rejected(self):
+        with pytest.raises(ValueError, match="table lacks"):
+            cn_series(P22, 5, 0.4, 80, pi_table(P22, 3, 80))  # rows k <= 5 only
+        with pytest.raises(ValueError, match="table lacks"):
+            cn_series(P22, 2, 0.4, 80, pi_table(P22, 8, 10))  # j_max too small
 
     def test_insufficient_budget_raises(self):
         with pytest.raises(ConvergenceError):
@@ -317,6 +339,12 @@ class TestRunSuite:
         assert [r.check_name for r in reports] == ["pi-recursion", "kp-identity"]
         reports = run_suite(P22, names=["kp-identity", "pi-recursion"])
         assert [r.check_name for r in reports] == ["pi-recursion", "kp-identity"]
+
+    @pytest.mark.parametrize("params", [P22, PASYM], ids=["integer-s", "float-s"])
+    def test_checks_share_no_state(self, params):
+        together = [r.as_dict() for r in run_suite(params)]
+        alone = [run_suite(params, [name])[0].as_dict() for name in SUITE_NAMES]
+        assert together == alone
 
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(ValueError, match="valid names"):
