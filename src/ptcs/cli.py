@@ -15,7 +15,8 @@ same z into a minimum-uncertainty label.
 
 Output goes to stdout, or to --out PATH; the PT_CS_OUT_DIR environment
 variable overrides the output directory.  CSV starts with one
-'#'-prefixed metadata line; JSON mirrors the same metadata under "meta".
+'#'-prefixed metadata line echoing the applied settings (verify has no
+dim: its checks use fixed budgets); JSON mirrors it under "meta".
 Floats are printed with 17 significant digits, so identical runs produce
 byte-identical files.
 
@@ -70,7 +71,6 @@ class RunConfig:
     alpha: float = 0.0
     dim: int = 120
     grid: int = 400
-    radial_grid: int = 200
     output_format: str = "csv"
     out: str | None = None
     zeta_re: float | None = None
@@ -289,6 +289,7 @@ def cmd_verify(config):
         for r in reports
     ]
     meta = _base_meta(config)
+    del meta["dim"]  # the checks run at their own fixed budgets
     meta["checks"] = len(reports)
     columns = ("check_name", "max_deviation", "tolerance", "passed", "details")
     rows = []
@@ -324,7 +325,6 @@ def build_parser():
         p.add_argument("--alpha", type=float, default=0.0, help="ladder phase parameter")
         p.add_argument("--dim", type=int, default=120, help="truncation dimension")
         p.add_argument("--grid", type=int, default=400, help="position grid size")
-        p.add_argument("--radial-grid", type=int, default=200, help="radial quadrature size")
         p.add_argument("--format", choices=("json", "csv"), default="csv")
         p.add_argument("--out", default=None, help="output path (PT_CS_OUT_DIR overrides the directory)")
         p.add_argument("--zeta-re", type=float, default=None)
@@ -359,7 +359,6 @@ def config_from_args(args):
         alpha=args.alpha,
         dim=args.dim,
         grid=args.grid,
-        radial_grid=args.radial_grid,
         output_format=args.format,
         out=args.out,
         zeta_re=args.zeta_re,
@@ -380,6 +379,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
+        if config.dim < 1:
+            raise ValueError(f"--dim must be >= 1, got {config.dim}")
         config.params()  # validate bounds before doing any work
         config.label()  # validates the label flags too
         return _COMMANDS[config.command](config)

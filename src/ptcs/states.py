@@ -277,15 +277,17 @@ def is_coefficients(params, label, dim):
     normalized with c_0 real positive.  For Re(lambda) > 0 both solutions
     of the recursion decay like (|1-lambda|/|1+lambda|)^(n/2) and the
     forward sweep is stable; for Re(lambda) < 0 the coefficients grow
-    geometrically and the construction fails with an error naming the
-    first overflowing index.  The tail bound is the geometric estimate
-    from the last two computed magnitudes.
+    geometrically, no normalizable state exists and the construction
+    raises ArithmeticError naming lambda.  The tail bound is the
+    geometric estimate from the last two computed magnitudes.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     lam = complex(label.lam)
     if lam == -1:
         raise ValueError("lambda = -1 admits no normalizable state")
+    if lam.real < 0.0:
+        raise ArithmeticError(f"recursion diverged: Re(lambda) < 0 at lambda = {lam}")
     z = complex(label.z)
     s = params.strength_sum
     alpha = label.alpha

@@ -15,8 +15,8 @@ moment condition fixes it uniquely); the commonly quoted nu = s/2 fails
 by a large margin and both numbers are recorded.
 """
 
+import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,33 +57,33 @@ __all__ = [
 
 
 def taylor_expm_apply(matrix, vector, tol=1e-20, max_terms=600):
-    """exp(matrix) @ vector by scaled Taylor summation.
+    """exp(matrix) @ vector by scaling and squaring a Taylor sum.
 
     The matrix is scaled by 2^-j so its 1-norm is at most one, the Taylor
-    series is summed on the vector until terms vanish, and the scaled
-    exponential is applied 2^j times.  Deliberately the simplest
-    provably-convergent scheme: this must stay dumber than the closed
-    forms it cross-checks.
+    series of the scaled exponential is summed from the identity until
+    terms vanish, the sum is squared j times and applied to the vector
+    once (Moler & Van Loan, SIAM Rev. 45, 3 (2003), method 3).
+    Deliberately the simplest provably-convergent scheme: this must stay
+    dumber than the closed forms it cross-checks.
     """
     m = np.asarray(matrix, dtype=complex)
-    v = np.asarray(vector, dtype=complex).copy()
     nrm = float(np.linalg.norm(m, 1))
     j = max(0, int(math.ceil(math.log2(nrm)))) if nrm > 1.0 else 0
     scaled = m / (2.0**j)
-    for _ in range(2**j):
-        acc = v.copy()
-        term = v.copy()
-        for k in range(1, max_terms + 1):
-            term = scaled @ term / k
-            acc += term
-            if np.linalg.norm(term) <= tol * np.linalg.norm(acc):
-                break
-        else:
-            raise ConvergenceError(
-                f"Taylor exponential did not converge in {max_terms} terms", acc
-            )
-        v = acc
-    return v
+    acc = np.eye(m.shape[0], dtype=complex)
+    term = acc.copy()
+    for k in range(1, max_terms + 1):
+        term = scaled @ term / k
+        acc += term
+        if np.linalg.norm(term) <= tol * np.linalg.norm(acc):
+            break
+    else:
+        raise ConvergenceError(
+            f"Taylor exponential did not converge in {max_terms} terms", acc
+        )
+    for _ in range(j):
+        acc = acc @ acc
+    return acc @ np.asarray(vector, dtype=complex)
 
 
 def displacement_oracle(params, z, dim):
@@ -152,13 +152,14 @@ def cn_series(params, n, zmod, j_max, table=None):
     """Expansion coefficient c_n(|z|) from its alternating nested-sum series.
 
     c_n = sum_j (-|z|^2)^j pi(n+1, j) / (n+2j)!.  For integer
-    kappa + kappa' the partial sums are accumulated in exact rational
-    arithmetic (the float argument is used exactly), so the alternating
-    cancellation costs no precision; otherwise floats are used.  Raises
-    ConvergenceError if j_max leaves the last term above the convergence
-    threshold.  ``table`` may be a pi_table for the same params with
-    n_max >= n and the same j_max, shared between calls; by default one
-    is built here.
+    kappa + kappa' the sum is exact: with |z| = p/q read exactly from the
+    float, it is one integer numerator over the running denominator
+    q^(2j) (n+2j)!, never reduced, and each float is one correctly rounded
+    integer division, so the alternating cancellation costs no precision;
+    otherwise floats are used.  Raises ConvergenceError if j_max leaves
+    the last term above the convergence threshold.  ``table`` may be a
+    pi_table for the same params with n_max >= n and the same j_max,
+    shared between calls; by default one is built here.
     """
     if n < 0 or n != int(n):
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
@@ -170,23 +171,17 @@ def cn_series(params, n, zmod, j_max, table=None):
         raise ValueError(f"table lacks pi({n + 1}, {j_max}); need n_max >= {n}, j_max = {j_max}")
     exact = float(params.strength_sum).is_integer()
     if exact:
-        r2 = Fraction(zmod) ** 2
-        total = Fraction(0)
-        sign = 1
-        fact = math.factorial(n)
-        power = Fraction(1)
-    else:
-        total = 0.0
-    last_ok = False
+        p, q = float(zmod).as_integer_ratio()
+        num, den, power = 0, math.factorial(n), 1  # sum so far is num / den
+    total = 0.0
     for j in range(j_max + 1):
         pi_val = table[(n + 1, j)]
         if exact:
-            term = sign * power * Fraction(pi_val, fact)
-            total += term
-            mag = abs(float(term))
-            sign = -sign
-            power *= r2
-            fact *= (n + 2 * j + 1) * (n + 2 * j + 2)
+            top = (-power if j % 2 else power) * pi_val
+            num += top
+            mag, total = abs(top / den), num / den
+            step = q * q * (n + 2 * j + 1) * (n + 2 * j + 2)
+            power, num, den = power * p * p, num * step, den * step
         else:
             term = (
                 (-(zmod * zmod)) ** j
@@ -195,16 +190,11 @@ def cn_series(params, n, zmod, j_max, table=None):
             )
             total += term
             mag = abs(term)
-        if mag <= 1e-16 * max(abs(float(total)), 1e-300):
-            last_ok = True
-            break
-        last_ok = False
-    if not last_ok:
-        raise ConvergenceError(
-            f"series for c_{n}({zmod}) still has significant terms at j_max = {j_max}",
-            float(total),
-        )
-    return float(total)
+        if mag <= 1e-16 * max(abs(total), 1e-300):
+            return total
+    raise ConvergenceError(
+        f"series for c_{n}({zmod}) still has significant terms at j_max = {j_max}", total
+    )
 
 
 def cn_closed_form(params, n, zmod):
@@ -302,15 +292,19 @@ def gk_moment_oracle(params, n, nu, radial_nodes=200):
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     s = params.strength_sum
     mu = 2.0 * n + s + 2.0  # moment order in t = 2r
-    t_max = mu + 30.0
     peak_log = (mu - 1.5) * math.log(max(mu - 1.5, 1.0)) - (mu - 1.5)
-
-    def log_integrand(t):
-        return (mu - 1.0) * math.log(t) + math.log(max(bessel_k(nu, t), 1e-320))
-
-    while log_integrand(t_max) - peak_log > math.log(1e-18) and t_max < 1200.0:
-        t_max += 20.0
-    if log_integrand(t_max) - peak_log > math.log(1e-16):
+    # cutoffs mu + 30, + 20, ... up to the first past 1200, tried in one
+    # bessel_k call; the first where the integrand has decayed wins
+    cands = [mu + 30.0]
+    while cands[-1] < 1200.0:
+        cands.append(cands[-1] + 20.0)
+    excess = [
+        (mu - 1.0) * math.log(t) + math.log(max(k, 1e-320)) - peak_log
+        for t, k in zip(cands, bessel_k(nu, np.array(cands)).tolist())
+    ]
+    i = next((i for i, e in enumerate(excess) if e <= math.log(1e-18)), len(cands) - 1)
+    t_max = cands[i]
+    if excess[i] > math.log(1e-16):
         raise ConvergenceError("radial tail still significant at cutoff", t_max)
     t, w = _gl_panels(0.0, t_max, radial_nodes)
     integral = float(np.sum(w * t ** (mu - 1.0) * bessel_k(nu, t)))
@@ -318,20 +312,26 @@ def gk_moment_oracle(params, n, nu, radial_nodes=200):
     return integral / math.exp(log_ref)
 
 
-def gk_identity_check(params, alpha, trunc_levels=10, radial_nodes=200):
+def _moment_memo(params, radial_nodes=200):
+    """(n, nu) -> gk_moment_oracle(params, n, nu, radial_nodes), each computed once."""
+    return functools.cache(lambda n, nu: gk_moment_oracle(params, n, nu, radial_nodes))
+
+
+def gk_identity_check(params, alpha, trunc_levels=10, radial_nodes=200, moment=None):
     """Resolution of identity for the lowering-eigenstate family.
 
     Diagonal moments with the adjudicated index nu = s must all be 1;
     off-diagonals vanish exactly by angular integration.  The halved
     index that is sometimes quoted for this measure is evaluated at n = 0
-    and recorded in the details as a failing companion value.
+    and recorded in the details as a failing companion value.  ``moment``
+    may be a shared _moment_memo at the same radial_nodes.
     """
     s = params.strength_sum
+    moment = moment or _moment_memo(params, radial_nodes)
     worst = 0.0
     for n in range(trunc_levels + 1):
-        ratio = gk_moment_oracle(params, n, s, radial_nodes)
-        worst = max(worst, abs(ratio - 1.0))
-    halved = gk_moment_oracle(params, 0, s / 2.0, radial_nodes)
+        worst = max(worst, abs(moment(n, s) - 1.0))
+    halved = moment(0, s / 2.0)
     return VerifyReport(
         check_name="gk-identity",
         max_deviation=worst,
@@ -469,12 +469,10 @@ def _check_cn_ode(params, zmod=0.5, n_max=6):
     )
 
 
-def _check_gk_measure_index(params):
+def _check_gk_measure_index(params, moment):
     s = params.strength_sum
-    good = max(
-        abs(gk_moment_oracle(params, n, s) - 1.0) for n in range(0, 11)
-    )
-    bad = abs(gk_moment_oracle(params, 0, s / 2.0) - 1.0)
+    good = max(abs(moment(n, s) - 1.0) for n in range(0, 11))
+    bad = abs(moment(0, s / 2.0) - 1.0)
     # pass means: correct index resolves the moments AND the halved index
     # visibly does not
     deviation = good if bad > 0.10 else 1.0
@@ -536,8 +534,8 @@ def _check_kp_identity(params):
     return kp_identity_check(params, params.alpha)
 
 
-def _check_gk_identity(params):
-    return gk_identity_check(params, params.alpha)
+def _check_gk_identity(params, moment):
+    return gk_identity_check(params, params.alpha, moment=moment)
 
 
 def _check_reconstruction(params, dim=12):
@@ -563,6 +561,8 @@ _SUITE = (
 
 SUITE_NAMES = tuple(name for name, _ in _SUITE)
 
+_MOMENT_CHECKS = ("gk-measure-index", "gk-identity")  # share the radial moments
+
 
 def run_suite(params, names=None):
     """Run the named checks (all of them by default), in a fixed order."""
@@ -576,4 +576,8 @@ def run_suite(params, names=None):
             )
         selected = tuple(n for n in SUITE_NAMES if n in set(names))
     lookup = dict(_SUITE)
-    return [lookup[name](params) for name in selected]
+    moment = _moment_memo(params)  # shared by this call's checks only
+    return [
+        lookup[name](params, moment) if name in _MOMENT_CHECKS else lookup[name](params)
+        for name in selected
+    ]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ptcs.cli import EXIT_OK, EXIT_USAGE, EXIT_WARN, RunConfig, main
+from ptcs.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_WARN, RunConfig, main
 
 BASE = ["--kappa", "2", "--kappap", "2"]
 
@@ -37,6 +37,13 @@ class TestSpectrum:
         code, _, err = run(capsys, "spectrum", "--kappa", "1.0", "--kappap", "2")
         assert code == EXIT_USAGE
         assert "kappa" in err and "> 1" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "state", "wavefunction", "uncertainty", "verify"])
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_nonpositive_dim_is_usage_error(self, capsys, command, dim):
+        code, out, err = run(capsys, command, *BASE, "--z-re", "1", f"--dim={dim}")
+        assert code == EXIT_USAGE
+        assert out == "" and "--dim" in err
 
     def test_json_matches_csv_numerically(self, capsys):
         _, out_csv, _ = run(capsys, "spectrum", *BASE, "--dim", "6")
@@ -92,6 +99,13 @@ class TestState:
         assert code == EXIT_WARN
         payload = json.loads(out)
         assert payload["meta"]["tail_bound"] == "inf"
+
+    def test_negative_real_lambda_is_numeric_failure(self, capsys):
+        code, out, err = run(
+            capsys, "state", *BASE, "--z-re", "1", "--lambda-re=-0.5", "--lambda-im", "0.2"
+        )
+        assert code == EXIT_NUMERIC
+        assert out == "" and "Re(lambda) < 0" in err
 
     def test_conflicting_labels_rejected(self, capsys):
         code, _, err = run(
@@ -182,6 +196,16 @@ class TestUncertainty:
 
 
 class TestVerifyCommand:
+    def test_meta_echoes_no_dim(self, capsys):
+        code, out, _ = run(capsys, "verify", *BASE, "--suite", "kp-identity", "--dim", "8")
+        assert code == EXIT_OK
+        meta, _, _ = parse_csv(out)
+        assert "dim" not in meta and meta["checks"] == "1"
+
+    def test_radial_grid_flag_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["spectrum", *BASE, "--radial-grid", "50"])
+
     def test_single_check(self, capsys):
         code, out, _ = run(capsys, "verify", *BASE, "--suite", "kp-identity")
         assert code == EXIT_OK

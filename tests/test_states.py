@@ -262,6 +262,13 @@ class TestISCoefficients:
         with pytest.raises(ArithmeticError, match="diverged"):
             is_coefficients(P22, ISLabel(z=0.5, lam=-3.0), 2500)
 
+    @pytest.mark.parametrize("lam", [-0.5 + 0.2j, -0.01, -2.0 - 1.0j])
+    def test_negative_real_lambda_raises_naming_lambda(self, lam):
+        # no normalizable state even where the sweep would not overflow
+        with pytest.raises(ArithmeticError, match="Re\\(lambda\\) < 0") as err:
+            is_coefficients(P22, ISLabel(z=1.0, lam=lam), 120)
+        assert str(complex(lam)) in str(err.value)
+
     def test_lambda_minus_one_rejected(self):
         with pytest.raises(ValueError):
             ISLabel(z=0.5, lam=-1.0)

@@ -1,12 +1,16 @@
 """Oracle layer: matrix exponential, nested-sum tables, identity checks."""
 
+import ast
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ptcs.operators import PotentialParams, StateVector, build_matrices
-from ptcs.specfun import ConvergenceError, jacobi_fn_ss, log_gamma
+import ptcs.verify as verify
+from ptcs.specfun import ConvergenceError, bessel_k, jacobi_fn_ss, log_gamma
 from ptcs.states import kp_from_z
 from ptcs.verify import (
     SUITE_NAMES,
@@ -28,6 +32,67 @@ P22A = PotentialParams(kappa=2.0, kappap=2.0, alpha=0.3)
 PASYM = PotentialParams(kappa=2.1, kappap=2.7, alpha=0.2)
 
 
+def taylor_vector_loop(matrix, vector, tol=1e-20, max_terms=600):
+    """Reference: the scaled Taylor series summed on the vector, applied 2^j times."""
+    m = np.asarray(matrix, dtype=complex)
+    v = np.asarray(vector, dtype=complex).copy()
+    nrm = float(np.linalg.norm(m, 1))
+    j = max(0, int(math.ceil(math.log2(nrm)))) if nrm > 1.0 else 0
+    scaled = m / (2.0**j)
+    for _ in range(2**j):
+        acc = v.copy()
+        term = v.copy()
+        for k in range(1, max_terms + 1):
+            term = scaled @ term / k
+            acc += term
+            if np.linalg.norm(term) <= tol * np.linalg.norm(acc):
+                break
+        v = acc
+    return v
+
+
+def displacement_generator(params, z, dim=120):
+    ops = build_matrices(params, dim)
+    return z * ops.a_plus.entries - np.conj(z) * ops.a_minus.entries
+
+
+def cn_series_fraction(params, n, zmod, j_max):
+    """Reference: the exact-rational cn_series loop accumulated in Fraction."""
+    table = pi_table(params, n, j_max)
+    r2 = Fraction(zmod) ** 2
+    total, sign, fact, power = Fraction(0), 1, math.factorial(n), Fraction(1)
+    for j in range(j_max + 1):
+        term = sign * power * Fraction(table[(n + 1, j)], fact)
+        total += term
+        mag = abs(float(term))
+        sign = -sign
+        power *= r2
+        fact *= (n + 2 * j + 1) * (n + 2 * j + 2)
+        if mag <= 1e-16 * max(abs(float(total)), 1e-300):
+            return float(total)
+    raise ConvergenceError("reference series did not converge", float(total))
+
+
+def gk_moment_scalar_search(params, n, nu, radial_nodes=200):
+    """Reference: gk_moment_oracle with its t_max found one bessel_k call at a time."""
+    s = params.strength_sum
+    mu = 2.0 * n + s + 2.0
+    t_max = mu + 30.0
+    peak_log = (mu - 1.5) * math.log(max(mu - 1.5, 1.0)) - (mu - 1.5)
+
+    def log_integrand(t):
+        return (mu - 1.0) * math.log(t) + math.log(max(bessel_k(nu, t), 1e-320))
+
+    while log_integrand(t_max) - peak_log > math.log(1e-18) and t_max < 1200.0:
+        t_max += 20.0
+    if log_integrand(t_max) - peak_log > math.log(1e-16):
+        raise ConvergenceError("radial tail still significant at cutoff", t_max)
+    t, w = verify._gl_panels(0.0, t_max, radial_nodes)
+    integral = float(np.sum(w * t ** (mu - 1.0) * bessel_k(nu, t)))
+    log_ref = log_gamma(n + 1.0) + log_gamma(n + s + 1.0) + (2.0 * n + s) * math.log(2.0)
+    return integral / math.exp(log_ref)
+
+
 class TestTaylorExpmApply:
     def test_zero_matrix(self):
         v = np.array([1.0, 2.0, 3.0], dtype=complex)
@@ -43,6 +108,22 @@ class TestTaylorExpmApply:
         ref = evecs @ (np.exp(evals) * np.linalg.solve(evecs, v))
         out = taylor_expm_apply(a, v)
         assert float(np.max(np.abs(out - ref))) < 1e-11
+
+    @pytest.mark.parametrize("params", [P22A, PASYM], ids=["integer-s", "float-s"])
+    @pytest.mark.parametrize("z", [0.2 + 0j, 0.5 + 0.4j, 1.0j])
+    def test_squaring_matches_vector_loop(self, params, z):
+        gen = displacement_generator(params, z)
+        e0 = np.eye(120, dtype=complex)[0]
+        out = taylor_expm_apply(gen, e0)
+        assert float(np.max(np.abs(out - taylor_vector_loop(gen, e0)))) <= 1e-13
+
+    @pytest.mark.parametrize("z", [0.5 + 0.4j, 1.0j])
+    def test_matches_scipy_expm(self, z):
+        linalg = pytest.importorskip("scipy.linalg")
+        gen = displacement_generator(PASYM, z)
+        e0 = np.eye(120, dtype=complex)[0]
+        ref = linalg.expm(gen) @ e0
+        assert float(np.max(np.abs(taylor_expm_apply(gen, e0) - ref))) <= 1e-13
 
 
 class TestDisplacementOracle:
@@ -246,6 +327,24 @@ class TestCnSeries:
         with pytest.raises(ConvergenceError):
             cn_series(P22, 4, 0.9, 4)
 
+    @pytest.mark.parametrize("kappap", [2.0, 3.0, 4.0, 5.0, 6.0])
+    def test_exact_path_equals_fraction_loop(self, kappap):
+        # the points of cn-triple-agreement and cn-ode, bit for bit
+        params = PotentialParams(kappa=2.0, kappap=kappap)
+        h = 1e-3
+        zmods = (0.1, 0.4, 0.9, 0.5, 0.5 + h, 0.5 - h, 0.5 + 2 * h, 0.5 - 2 * h)
+        for n in range(0, 9):
+            for zmod in zmods:
+                assert cn_series(params, n, zmod, 80) == cn_series_fraction(params, n, zmod, 80)
+
+    @pytest.mark.parametrize("n, zmod, j_max", [(4, 0.9, 4), (0, 0.4, 2), (8, 0.9, 10)])
+    def test_exact_partial_sum_equals_fraction_loop(self, n, zmod, j_max):
+        with pytest.raises(ConvergenceError) as new:
+            cn_series(P22, n, zmod, j_max)
+        with pytest.raises(ConvergenceError) as ref:
+            cn_series_fraction(P22, n, zmod, j_max)
+        assert new.value.partial_sum == ref.value.partial_sum
+
     def test_ode_residual_by_stencil(self):
         # |z| c_n' = c_{n-1} - n c_n - (n+1)(n+1+s) |z|^2 c_{n+1}
         s, zmod, h = 4.0, 0.5, 1e-3
@@ -298,6 +397,12 @@ class TestGKMeasure:
         with pytest.raises(ValueError):
             gk_moment_oracle(P22, 0, 0.0)
 
+    @pytest.mark.parametrize("params", [P22, PASYM], ids=["integer-s", "float-s"])
+    def test_batched_cutoff_equals_scalar_search(self, params):
+        s = params.strength_sum
+        for n, nu in [(n, s) for n in range(0, 11)] + [(0, s / 2.0), (3, 0.7)]:
+            assert gk_moment_oracle(params, n, nu) == gk_moment_scalar_search(params, n, nu)
+
 
 class TestReconstruction:
     def test_ground_state(self):
@@ -346,6 +451,44 @@ class TestRunSuite:
         alone = [run_suite(params, [name])[0].as_dict() for name in SUITE_NAMES]
         assert together == alone
 
+    def test_moments_computed_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gk_moment_oracle(*args)
+
+        monkeypatch.setattr(verify, "gk_moment_oracle", counted)
+        run_suite(P22)
+        assert len(calls) == 12  # 11 levels at nu = s and the halved index
+        calls.clear()
+        for name in SUITE_NAMES:
+            run_suite(P22, [name])
+        assert len(calls) == 24  # nothing is kept between calls
+
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(ValueError, match="valid names"):
             run_suite(P22, names=["no-such-check"])
+
+
+def test_oracle_imports_from_closed_form_layer_pinned():
+    # an oracle must not be routed through the closed form it checks:
+    # growing this list needs a reason in review
+    tree = ast.parse(Path(verify.__file__).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("ptcs")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("ptcs") for a in node.names)
+    assert imported == {
+        "operators": {"StateVector", "build_matrices"},
+        "report": {"VerifyReport"},
+        "specfun": {"ConvergenceError", "bessel_k", "gamma_ratio", "jacobi_fn_ss", "log_gamma"},
+        "states": {
+            "GKLabel", "KPLabel", "evolve", "evolve_coefficients",
+            "gk_annihilation_residual", "gk_coefficients", "kp_coefficients", "kp_from_z",
+        },
+    }
