@@ -200,10 +200,8 @@ def _build_state(config):
 
 def cmd_spectrum(config):
     params = config.params()
-    rows = [
-        (n, energy(params, n), g_value(params, n))
-        for n in range(config.dim)
-    ]
+    levels = np.arange(config.dim)
+    rows = list(zip(range(config.dim), energy(params, levels).tolist(), g_value(params, levels).tolist()))
     _emit(config, _base_meta(config), ("n", "e_n", "g_n"), rows)
     return EXIT_OK
 

@@ -6,12 +6,13 @@ square-root amplitudes dressed by phases controlled by the parameter
 ``alpha``; the phases cancel in every product that matters physically,
 which the verification layer checks explicitly.
 
-Matrices here are dense and modest-sized on purpose: this is the oracle
-path, meant to be obviously correct rather than fast.  Everything is
-immutable after construction and safe to share between threads.
+The level functions energy, g_value and ladder_*_amplitude are the one
+definition of each level formula, and each accepts an integer level array.
+build_matrices assembles dense matrices from them for the oracles and for
+variance_pair.  Everything is immutable after construction and safe to
+share between threads.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -128,54 +129,41 @@ class OperatorSet:
     p: OperatorMatrix
     params: PotentialParams
 
-    def by_label(self, label):
-        table = {
-            "A_MINUS": self.a_minus,
-            "A_PLUS": self.a_plus,
-            "H": self.h,
-            "N": self.n,
-            "G": self.g,
-            "W": self.w,
-            "P": self.p,
-        }
-        return table[label]
+
+def _levels(n):
+    """n as a float, or a level array as floats; ValueError unless all are integers >= 0."""
+    arr = np.asarray(n, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr))):
+        raise ValueError(f"level index must be a nonnegative integer, got {n!r}")
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def energy(params, n):
-    """Eigenvalue e_n = n(n + kappa + kappa'), units of 1/a^2 folded out."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"level index must be a nonnegative integer, got {n!r}")
-    return float(n) * (float(n) + params.strength_sum)
+    """Eigenvalue e_n = n(n + kappa + kappa') in units of 1/a^2; n may be a level array."""
+    n = _levels(n)
+    return n * (n + params.strength_sum)
 
 
 def g_value(params, n):
     """Diagonal of the ladder commutator: 2n + kappa + kappa' + 1.
 
-    Equals the level spacing e_{n+1} - e_n.
+    Equals the level spacing e_{n+1} - e_n.  n may be a level array.
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"level index must be a nonnegative integer, got {n!r}")
-    return 2.0 * float(n) + params.strength_sum + 1.0
+    return 2.0 * _levels(n) + params.strength_sum + 1.0
 
 
 def ladder_up_amplitude(params, n):
-    """Coefficient of |psi_{n+1}> in a+ |psi_n>."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"level index must be a nonnegative integer, got {n!r}")
-    s = params.strength_sum
-    mod = math.sqrt((n + 1.0) * (n + 1.0 + s))
-    return mod * cmath.exp(-1j * params.alpha * (2.0 * n + 1.0 + s))
+    """Coefficient of |psi_{n+1}> in a+ |psi_n>; n may be a level array."""
+    n = _levels(n)
+    phase = params.alpha * (2.0 * n + 1.0 + params.strength_sum)
+    return np.sqrt(energy(params, n + 1.0)) * np.exp(-1j * phase)
 
 
 def ladder_down_amplitude(params, n):
-    """Coefficient of |psi_{n-1}> in a- |psi_n>; zero on the ground state."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"level index must be a nonnegative integer, got {n!r}")
-    if n == 0:
-        return 0j
-    s = params.strength_sum
-    mod = math.sqrt(n * (n + s))
-    return mod * cmath.exp(1j * params.alpha * (2.0 * n - 1.0 + s))
+    """Coefficient of |psi_{n-1}> in a- |psi_n>, 0 at n = 0; n may be a level array."""
+    n = _levels(n)
+    phase = params.alpha * (2.0 * n - 1.0 + params.strength_sum)
+    return np.sqrt(energy(params, n)) * np.exp(1j * phase)
 
 
 def build_matrices(params, dim):
@@ -188,14 +176,12 @@ def build_matrices(params, dim):
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    a_minus = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a_minus[n - 1, n] = ladder_down_amplitude(params, n)
+    levels = np.arange(dim)
+    a_minus = np.diag(ladder_down_amplitude(params, levels[1:]), 1)
     a_plus = a_minus.conj().T.copy()
-    levels = np.arange(dim, dtype=float)
-    h = np.diag(levels * (levels + params.strength_sum)).astype(complex)
+    h = np.diag(energy(params, levels)).astype(complex)
     num = np.diag(levels).astype(complex)
-    g = np.diag(2.0 * levels + params.strength_sum + 1.0).astype(complex)
+    g = np.diag(g_value(params, levels)).astype(complex)
     w = (a_plus + a_minus) / math.sqrt(2.0)
     p = 1j * (a_plus - a_minus) / math.sqrt(2.0)
     return OperatorSet(

@@ -18,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from .operators import _levels
 from .specfun import jacobi_poly_all, log_gamma
 
 __all__ = [
@@ -145,22 +146,23 @@ def norm_constant(params, n):
     c_n = a 2^{-(k+k')} h_n, where h_n is the weighted L^2 norm of the
     Jacobi polynomial with exponents (k - 1/2, k' - 1/2); obtained from
     the substitution u = cos(x/a).  Positive for every n, and checked
-    against direct quadrature in the tests.
+    against direct quadrature in the tests.  n is a level index or an
+    integer level array; an array gives the array of its norms.
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"level index must be a nonnegative integer, got {n!r}")
+    n = _levels(n)
+    xp = np if isinstance(n, np.ndarray) else math
     al = params.kappa - 0.5
     be = params.kappap - 0.5
     s = params.strength_sum
     log_h = (
         s * math.log(2.0)
-        - math.log(2.0 * n + s)
+        - xp.log(2.0 * n + s)
         + log_gamma(n + al + 1.0)
         + log_gamma(n + be + 1.0)
         - log_gamma(n + al + be + 1.0)
         - log_gamma(n + 1.0)
     )
-    return params.a * math.exp(log_h - s * math.log(2.0))
+    return params.a * xp.exp(log_h - s * math.log(2.0))
 
 
 def eigenfunction(params, n, x):
@@ -181,7 +183,7 @@ def eigenfunction_table(params, nmax, x):
     u = np.cos(x / a)
     polys = jacobi_poly_all(nmax, params.kappa - 0.5, params.kappap - 0.5, u)
     envelope = np.sin(t) ** params.kappa * np.cos(t) ** params.kappap
-    norms = np.array([math.sqrt(norm_constant(params, k)) for k in range(nmax + 1)])
+    norms = np.sqrt(norm_constant(params, np.arange(nmax + 1)))
     return polys * envelope / norms[:, None]
 
 

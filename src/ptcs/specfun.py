@@ -90,21 +90,37 @@ def log_gamma(x):
     """Natural log of the gamma function for x > 0.
 
     Lanczos approximation; relative error is comfortably below 1e-13 on
-    the positive axis.
+    the positive axis.  A scalar x returns a float; an ndarray x returns an
+    ndarray of its shape from the same Lanczos sum, with numpy's log in
+    place of math.log.  Any entry that is not finite and > 0 is a
+    ValueError.
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise ValueError(f"log_gamma requires a finite real argument, got {x!r}")
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the rational part of the approximation in its
-        # sweet spot
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
+    if isinstance(x, (int, float)):
+        if not (math.isfinite(x) and x > 0.0):
+            raise ValueError(f"log_gamma requires a finite x > 0, got {x!r}")
+        if x < 0.5:
+            # reflection keeps the rational part of the approximation in
+            # its sweet spot
+            return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
+        log = math.log
+    else:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return log_gamma(float(x))
+        ok = np.isfinite(x) & (x > 0.0)
+        if not ok.all():
+            raise ValueError(f"log_gamma requires a finite x > 0, got {float(x[~ok][0])}")
+        refl = x < 0.5
+        if refl.any():
+            out = log_gamma(np.where(refl, 1.0 - x, x))
+            out[refl] = np.log(np.pi / np.sin(np.pi * x[refl])) - out[refl]
+            return out
+        log = np.log
     acc = _LANCZOS_C[0]
     for i in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[i] / (x - 1.0 + i)
     t = x + _LANCZOS_G - 0.5
-    return (x - 0.5) * math.log(t) - t + _LN_SQRT_2PI + math.log(acc)
+    return (x - 0.5) * log(t) - t + _LN_SQRT_2PI + log(acc)
 
 
 def _inv_gamma(x):

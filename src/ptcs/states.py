@@ -17,14 +17,19 @@ while the exact coefficient-level evolution c_n -> exp(-i e_n t) c_n is
 available for any state.
 """
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import StateVector, build_matrices, variance_pair
+from .operators import (
+    StateVector,
+    energy,
+    ladder_down_amplitude,
+    ladder_up_amplitude,
+    variance_pair,
+)
 from .report import VerifyReport
 from .specfun import bessel_i, hyp0f1, log_gamma
 
@@ -101,13 +106,27 @@ class ISLabel:
             raise ValueError("lambda = -1 admits no normalizable state")
 
 
-CSLabel = KPLabel | GKLabel | ISLabel
+def _phases(params, t, dim):
+    """exp(-i t e_n) for n < dim: the label phase (t = alpha) and the evolution."""
+    return np.exp(-1j * t * energy(params, np.arange(dim)))
 
 
-def _phases(params, alpha, dim):
-    n = np.arange(dim, dtype=float)
-    e = n * (n + params.strength_sum)
-    return np.exp(-1j * alpha * e)
+def _finish(params, label, coeffs, tail):
+    """Closing step of every constructor: the state, flagged past TAIL_WARN.
+
+    Coefficients that are not finite, or all zero (an overflow upstream),
+    are an ArithmeticError naming the parameters and the label.
+    """
+    finite = np.all(np.isfinite(coeffs))
+    if not (finite and np.any(coeffs)):
+        why = "no mass in the truncated basis" if finite else "non-finite coefficients"
+        raise ArithmeticError(f"{why} at kappa = {params.kappa}, kappa' = {params.kappap}, label {label}")
+    return StateVector(
+        coeffs,
+        _with_label_alpha(params, label),
+        tail_bound=tail,
+        under_truncated=tail > TAIL_WARN,
+    )
 
 
 def kp_coefficients(params, label, dim):
@@ -125,23 +144,16 @@ def kp_coefficients(params, label, dim):
     s = params.strength_sum
     rho2 = abs(zeta) ** 2
     pref = (1.0 - rho2) ** ((s + 1.0) / 2.0)
-    ratios = np.empty(dim)
-    acc = 1.0
-    for n in range(dim):
-        ratios[n] = acc
-        acc *= (n + 1.0 + s) / (n + 1.0)
-    zpow = zeta ** np.arange(dim)
-    coeffs = pref * zpow * np.sqrt(ratios) * _phases(params, label.alpha, dim)
+    k = np.arange(1.0, dim + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finish refuses the result
+        binom = np.cumprod(np.concatenate(([1.0], (k + s) / k)))  # C(n+s, n), n = 0..dim
+        zpow = zeta ** np.arange(dim)
+        coeffs = pref * zpow * np.sqrt(binom[:-1]) * _phases(params, label.alpha, dim)
     # tail: sum_{n>=dim} rho2^n C(n+s,n), term ratio <= q below
-    term = pref * pref * rho2**dim * acc  # acc = C(dim+s, dim)
+    term = pref * pref * rho2**dim * float(binom[-1])
     q = rho2 * (dim + 1.0 + s) / (dim + 1.0)
     tail = term / (1.0 - q) if q < 1.0 else math.inf
-    return StateVector(
-        coeffs,
-        _with_label_alpha(params, label),
-        tail_bound=tail,
-        under_truncated=tail > TAIL_WARN,
-    )
+    return _finish(params, label, coeffs, tail)
 
 
 def kp_from_z(params, z, alpha, dim):
@@ -194,10 +206,8 @@ def evolve_coefficients(state, t):
     The recorded phase-convention parameter rides along (alpha -> alpha+t)
     so operator actions on the evolved state stay consistent.
     """
-    n = np.arange(state.dim, dtype=float)
-    e = n * (n + state.params.strength_sum)
     return StateVector(
-        state.coeffs * np.exp(-1j * e * t),
+        state.coeffs * _phases(state.params, t, state.dim),
         replace(state.params, alpha=state.params.alpha + t),
         tail_bound=state.tail_bound,
         under_truncated=state.under_truncated,
@@ -218,24 +228,17 @@ def gk_coefficients(params, label, dim):
     if r == 0.0:
         coeffs = np.zeros(dim, dtype=complex)
         coeffs[0] = 1.0
-        return StateVector(coeffs, _with_label_alpha(params, label), tail_bound=0.0)
+        return _finish(params, label, coeffs, 0.0)
     log_norm = 0.5 * (s * math.log(r) - math.log(bessel_i(s, 2.0 * r)))
     n = np.arange(dim, dtype=float)
-    log_den = np.array(
-        [0.5 * (log_gamma(k + 1.0) + log_gamma(k + s + 1.0)) for k in n]
-    )
+    log_den = 0.5 * (log_gamma(n + 1.0) + log_gamma(n + s + 1.0))
     mags = np.exp(log_norm + n * math.log(r) - log_den)
     zphase = (z / r) ** np.arange(dim)
     coeffs = mags * zphase * _phases(params, label.alpha, dim)
     # ratio-test majorant: successive |c_n|^2 shrink at least by q
-    q = r * r / ((dim + 1.0) * (dim + 1.0 + s))
-    tail = (mags[-1] ** 2) * (r * r / (dim * (dim + s))) / (1.0 - q) if q < 1.0 else math.inf
-    return StateVector(
-        coeffs,
-        _with_label_alpha(params, label),
-        tail_bound=tail,
-        under_truncated=tail > TAIL_WARN,
-    )
+    q = r * r / energy(params, dim + 1)
+    tail = (mags[-1] ** 2) * (r * r / energy(params, dim)) / (1.0 - q) if q < 1.0 else math.inf
+    return _finish(params, label, coeffs, tail)
 
 
 def gk_annihilation_residual(params, label, dim):
@@ -246,10 +249,11 @@ def gk_annihilation_residual(params, label, dim):
     coefficients makes this residual jump away from zero.
     """
     state = gk_coefficients(params, label, dim)
-    ops = build_matrices(state.params, dim)
-    resid = ops.a_minus.entries @ state.coeffs - complex(label.z) * state.coeffs
-    # last component of a-|state> would need c_dim, so exclude it
-    return float(np.linalg.norm(resid[: dim - 1]))
+    c = state.coeffs
+    # band product: (a- c)_m = d_{m+1} c_{m+1}; the last component would
+    # need c_dim, so the residual stops one short
+    lowered = ladder_down_amplitude(state.params, np.arange(1, dim)) * c[1:]
+    return float(np.linalg.norm(lowered - complex(label.z) * c[:-1]))
 
 
 def gk_mean_g(params, zmod):
@@ -289,22 +293,15 @@ def is_coefficients(params, label, dim):
     if lam.real < 0.0:
         raise ArithmeticError(f"recursion diverged: Re(lambda) < 0 at lambda = {lam}")
     z = complex(label.z)
-    s = params.strength_sum
-    alpha = label.alpha
+    state_params = _with_label_alpha(params, label)
+    levels = np.arange(dim)
+    up = ladder_up_amplitude(state_params, levels[:-1])  # u_n
+    down = ladder_down_amplitude(state_params, levels[1:])  # d_{n+1}
     c = np.zeros(dim, dtype=complex)
     c[0] = 1.0
     for n in range(dim - 1):
-        up_prev = 0j
-        if n >= 1:
-            up_prev = math.sqrt(n * (n + s)) * cmath.exp(
-                -1j * alpha * (2.0 * (n - 1) + 1.0 + s)
-            )
-        down_next = math.sqrt((n + 1.0) * (n + 1.0 + s)) * cmath.exp(
-            1j * alpha * (2.0 * (n + 1) - 1.0 + s)
-        )
-        c[n + 1] = (
-            2.0 * z * c[n] - (1.0 - lam) * up_prev * (c[n - 1] if n >= 1 else 0.0)
-        ) / ((1.0 + lam) * down_next)
+        lower = (1.0 - lam) * up[n - 1] * c[n - 1] if n >= 1 else 0.0
+        c[n + 1] = (2.0 * z * c[n] - lower) / ((1.0 + lam) * down[n])
         if not np.isfinite(c[n + 1]) or abs(c[n + 1]) > 1e140:
             raise ArithmeticError(
                 f"recursion diverged at level {n + 1} "
@@ -321,12 +318,7 @@ def is_coefficients(params, label, dim):
         tail = abs(c[-1]) ** 2 * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
     elif abs(c[-1]) == 0.0:
         tail = 0.0
-    return StateVector(
-        c,
-        _with_label_alpha(params, label),
-        tail_bound=tail,
-        under_truncated=tail > TAIL_WARN,
-    )
+    return _finish(params, label, c, tail)
 
 
 def is_minimization_report(params, label, dim):

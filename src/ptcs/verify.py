@@ -490,10 +490,10 @@ def _check_gk_measure_index(params, moment):
 def _check_gk_action(params, dim=120):
     worst = 0.0
     resid_worst = 0.0
+    ops = build_matrices(params, dim)  # the labels share params.alpha
     for zmod in (0.5, 1.5, 3.0):
         label = GKLabel(z=zmod, alpha=params.alpha)
         state = gk_coefficients(params, label, dim)
-        ops = build_matrices(state.params, dim)
         mean_h = np.vdot(state.coeffs, ops.h.entries @ state.coeffs).real
         worst = max(worst, abs(mean_h - zmod * zmod))
         resid_worst = max(resid_worst, gk_annihilation_residual(params, label, dim))

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism, round-trips."""
 
 import json
+import warnings
 
 import pytest
 
@@ -106,6 +107,20 @@ class TestState:
         )
         assert code == EXIT_NUMERIC
         assert out == "" and "Re(lambda) < 0" in err
+
+    def test_huge_kappa_is_numeric_failure_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "state", "--kappa", "1e300", "--kappap", "2", "--zeta-re", "0.3", "--dim", "4"
+            )
+        assert code == EXIT_NUMERIC
+        assert out == "" and "kappa = 1e+300" in err and "KPLabel" in err
+
+    def test_overflowing_gk_is_numeric_failure(self, capsys):
+        code, out, err = run(capsys, "state", *BASE, "--z-re", "400", "--dim", "4000")
+        assert code == EXIT_NUMERIC
+        assert out == "" and "no mass" in err and "GKLabel" in err
 
     def test_conflicting_labels_rejected(self, capsys):
         code, _, err = run(

@@ -1,5 +1,6 @@
 """Ladder-algebra matrix model: construction invariants and expectations."""
 
+import cmath
 import math
 
 import numpy as np
@@ -93,6 +94,53 @@ class TestLadderAmplitudes:
             up = ladder_up_amplitude(P22A, n)
             down = ladder_down_amplitude(P22A, n + 1)
             assert up.conjugate() == pytest.approx(down, rel=1e-14)
+
+
+class TestLevelArrays:
+    LEVELS = np.arange(200)
+    FLOAT_S = PotentialParams(kappa=1.37, kappap=2.91, alpha=0.77)
+
+    @pytest.mark.parametrize("params", [P22, PASYM, FLOAT_S])
+    @pytest.mark.parametrize("fn", [energy, g_value])
+    def test_spectrum_arrays_bitwise_equal_scalar_loop(self, params, fn):
+        out = fn(params, self.LEVELS)
+        assert out.shape == self.LEVELS.shape
+        assert out.tolist() == [fn(params, n) for n in range(self.LEVELS.size)]
+
+    @pytest.mark.parametrize("params", [P22A, PASYM, FLOAT_S])
+    def test_ladder_arrays_match_scalar_forms(self, params):
+        s, alpha = params.strength_sum, params.alpha
+        # the per-level math/cmath forms the array functions replace
+        up_ref = [
+            math.sqrt((n + 1.0) * (n + 1.0 + s)) * cmath.exp(-1j * alpha * (2.0 * n + 1.0 + s))
+            for n in self.LEVELS.tolist()
+        ]
+        down_ref = [
+            math.sqrt(n * (n + s)) * cmath.exp(1j * alpha * (2.0 * n - 1.0 + s))
+            for n in self.LEVELS.tolist()
+        ]
+        for fn, ref in ((ladder_up_amplitude, up_ref), (ladder_down_amplitude, down_ref)):
+            out = fn(params, self.LEVELS)
+            ref = np.array(ref)
+            scale = np.maximum(np.abs(ref), 1e-300)
+            assert np.max(np.abs(out - ref) / scale) <= 1e-15
+            assert [fn(params, n) for n in range(self.LEVELS.size)] == out.tolist()
+
+    @pytest.mark.parametrize("fn", [energy, g_value, ladder_up_amplitude, ladder_down_amplitude])
+    def test_scalar_in_scalar_out(self, fn):
+        assert np.ndim(fn(PASYM, 3)) == 0
+        assert isinstance(fn(PASYM, 3), (float, complex))
+
+    @pytest.mark.parametrize("fn", [energy, g_value, ladder_up_amplitude, ladder_down_amplitude])
+    @pytest.mark.parametrize(
+        "levels", [np.array([0, 1, -2]), np.array([0.0, 1.5, 2.0]), np.array([1.0, math.nan]), 2.5]
+    )
+    def test_bad_level_rejected(self, fn, levels):
+        with pytest.raises(ValueError, match="level index"):
+            fn(P22, levels)
+
+    def test_empty_level_array(self):
+        assert energy(P22, np.arange(0)).shape == (0,)
 
 
 class TestBuildMatrices:

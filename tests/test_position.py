@@ -19,6 +19,7 @@ from ptcs.position import (
     superpotential,
     wavefunction,
 )
+from ptcs.specfun import log_gamma
 from ptcs.states import GKLabel, KPLabel, evolve_coefficients, gk_coefficients, kp_coefficients
 
 P22 = PotentialParams(kappa=2.0, kappap=2.0)
@@ -163,6 +164,33 @@ class TestNormConstant:
 
     def test_positive(self):
         assert all(norm_constant(P22, n) > 0.0 for n in range(40))
+
+    @pytest.mark.parametrize(
+        "params",
+        [P22, PASYM, PotentialParams(kappa=2.712863349048302, kappap=1.79639245207805)],
+    )
+    def test_level_array_matches_per_level_form_at_dim_4000(self, params):
+        al, be, s = params.kappa - 0.5, params.kappap - 0.5, params.strength_sum
+
+        def per_level(n):  # the scalar form, one log_gamma call per term and level
+            log_h = (
+                s * math.log(2.0) - math.log(2.0 * n + s)
+                + log_gamma(n + al + 1.0) + log_gamma(n + be + 1.0)
+                - log_gamma(n + al + be + 1.0) - log_gamma(n + 1.0)
+            )
+            return params.a * math.exp(log_h - s * math.log(2.0))
+
+        out = norm_constant(params, np.arange(4000))
+        assert out.shape == (4000,)
+        ref = np.array([per_level(n) for n in range(4000)])
+        # near n = 4000 each log-gamma term is ~3e4, where one ulp is 3.6e-12,
+        # so any two roundings of log_h differ by up to a few 1e-12 in the
+        # exponent; the last parameter set is the worst of 85 random draws
+        assert float(np.max(np.abs(out - ref) / ref)) <= 5e-11
+
+    def test_level_array_domain(self):
+        with pytest.raises(ValueError, match="level index"):
+            norm_constant(P22, np.array([0, 1, -1]))
 
 
 class TestEigenfunctions:

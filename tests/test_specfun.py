@@ -52,10 +52,39 @@ class TestLogGamma:
     def test_against_libm(self, x):
         assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-13, abs=1e-13)
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "x",
+        [
+            0.0, -1.0, math.inf, math.nan,
+            np.array([1.0, 0.0]), np.array([2.0, -1.0]),
+            np.array([math.inf, 3.0]), np.array([[0.3], [math.nan]]),
+        ],
+    )
     def test_domain(self, x):
         with pytest.raises(ValueError):
             log_gamma(x)
+
+    def test_array_keeps_shape_and_matches_scalar(self):
+        x = np.linspace(0.05, 60.0, 24).reshape(2, 3, 4)
+        out = log_gamma(x)
+        assert out.shape == x.shape
+        scalar = np.array([log_gamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        # numpy's log may round the last bit differently from math.log
+        assert np.max(np.abs(out - scalar) / np.abs(scalar)) <= 1e-15
+
+    def test_reflection_inside_array(self):
+        x = np.array([0.1, 3.0, 0.25, 0.49, 0.5, 0.7])
+        out = log_gamma(x)
+        assert out.tolist() == pytest.approx([math.lgamma(v) for v in x], rel=1e-13, abs=1e-13)
+        assert out[[0, 2, 3]].tolist() == pytest.approx(
+            [log_gamma(v) for v in (0.1, 0.25, 0.49)], rel=1e-15
+        )
+
+    def test_scalar_and_zero_d_return_float(self):
+        assert type(log_gamma(2.5)) is float
+        assert isinstance(log_gamma(np.float64(2.5)), float)
+        assert type(log_gamma(np.array(2.5))) is float
+        assert log_gamma(np.array(0.2)) == log_gamma(0.2)
 
 
 class TestGammaRatio:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ptcs.operators import PotentialParams, StateVector, build_matrices, expectation, variance_pair
-from ptcs.specfun import bessel_i
+from ptcs.specfun import bessel_i, log_gamma
 from ptcs.states import (
     GKLabel,
     ISLabel,
@@ -335,3 +335,64 @@ class TestNormalizationInvariant:
         total = float(np.sum(np.abs(st.coeffs) ** 2))
         assert total <= 1.0 + 1e-12
         assert total >= 1.0 - 10.0 * max(st.tail_bound, 1e-13)
+
+
+def gk_per_level_reference(params, label, dim):
+    """The gk coefficients as built before the array log_gamma: one scalar call per level."""
+    z = complex(label.z)
+    s = params.strength_sum
+    r = abs(z)
+    log_norm = 0.5 * (s * math.log(r) - math.log(bessel_i(s, 2.0 * r)))
+    n = np.arange(dim, dtype=float)
+    log_den = np.array([0.5 * (log_gamma(k + 1.0) + log_gamma(k + s + 1.0)) for k in n])
+    mags = np.exp(log_norm + n * math.log(r) - log_den)
+    e = n * (n + s)
+    return mags * (z / r) ** np.arange(dim) * np.exp(-1j * label.alpha * e)
+
+
+class TestGKArrayPath:
+    @pytest.mark.parametrize(
+        "params,z",
+        [
+            (P22, 1.5),
+            (P22A, 3.0 + 1.0j),
+            (PotentialParams(kappa=1.7, kappap=2.2, alpha=0.4), 40.0j),
+            (PotentialParams(kappa=1.1, kappap=3.9, alpha=1.3), -150.0 + 120.0j),
+        ],
+    )
+    def test_dim_4000_matches_per_level_form(self, params, z):
+        label = GKLabel(z=z, alpha=params.alpha)
+        out = gk_coefficients(params, label, 4000).coeffs
+        ref = gk_per_level_reference(params, label, 4000)
+        # below 1e-300 the magnitudes approach the subnormal range, where a
+        # relative comparison means nothing
+        normal = np.abs(ref) > 1e-300
+        rel = np.abs(out[normal] - ref[normal]) / np.abs(ref[normal])
+        assert float(np.max(rel)) <= 1e-11
+        assert np.all(np.abs(out - ref)[~normal] <= 1e-300)
+
+    @pytest.mark.parametrize(
+        "z,alpha,dim", [(1.5, 0.3, 80), (0.7 - 2.0j, 1.1, 60), (3.0, 0.0, 12), (0.4j, 0.5, 2)]
+    )
+    def test_band_residual_matches_dense(self, z, alpha, dim):
+        label = GKLabel(z=z, alpha=alpha)
+        st = gk_coefficients(P22, label, dim)
+        ops = build_matrices(st.params, dim)
+        dense = float(np.linalg.norm((ops.a_minus.entries @ st.coeffs - z * st.coeffs)[:-1]))
+        assert gk_annihilation_residual(P22, label, dim) == pytest.approx(dense, rel=1e-12, abs=1e-15)
+
+
+class TestBrokenStateFailsLoudly:
+    def test_huge_kappa_raises_naming_parameters_and_label(self):
+        params = PotentialParams(kappa=1e300, kappap=2.0)
+        with pytest.raises(ArithmeticError, match=r"non-finite.*kappa = 1e\+300, kappa' = 2\.0.*KPLabel"):
+            kp_coefficients(params, KPLabel(zeta=0.3), 4)
+
+    def test_overflowing_gk_norm_raises_instead_of_an_empty_state(self):
+        # I_s(800) overflows, so every coefficient would be 0 with tail_bound 0
+        with pytest.raises(ArithmeticError, match=r"no mass.*kappa = 2\.0.*GKLabel"):
+            gk_coefficients(P22, GKLabel(z=400.0), 4000)
+
+    def test_finite_states_still_built(self):
+        assert gk_coefficients(P22, GKLabel(z=30.0), 400).norm_deficit() <= 1e-12
+        assert kp_coefficients(PotentialParams(kappa=300.0, kappap=2.0), KPLabel(zeta=0.1), 40).dim == 40

@@ -466,6 +466,23 @@ class TestRunSuite:
             run_suite(P22, [name])
         assert len(calls) == 24  # nothing is kept between calls
 
+    def test_dense_matrices_built_once_per_check_use(self, monkeypatch):
+        import ptcs
+        import ptcs.operators
+        import ptcs.states
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_matrices(*args)
+
+        for module in (ptcs, ptcs.operators, ptcs.states, verify):
+            if hasattr(module, "build_matrices"):
+                monkeypatch.setattr(module, "build_matrices", counted)
+        run_suite(P22)
+        assert len(calls) == 4  # one per displacement amplitude, one for gk-action
+
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(ValueError, match="valid names"):
             run_suite(P22, names=["no-such-check"])
