@@ -8,6 +8,13 @@ Usage:
     pt-cs uncertainty   --kappa 2 --kappap 2 --z-re 2
     pt-cs verify        --kappa 2 --kappap 2 --suite all
 
+Flags by subcommand: every subcommand takes --kappa --kappap --a --alpha
+--format --out.  spectrum adds --dim; state and uncertainty add --dim and
+the six label flags; wavefunction adds those and --grid --t --autocorr;
+verify adds --suite --tol, and --dim, which it checks (>= 1) but neither
+uses nor echoes, since its checks run at fixed budgets.  A flag that a
+subcommand does not read is a usage error.
+
 Label selection: --zeta-re/--zeta-im pick the displacement-orbit family
 (disc coordinate, |zeta| < 1); --z-re/--z-im pick the
 lowering-eigenstate family, and adding --lambda-re/--lambda-im turns the
@@ -16,15 +23,16 @@ same z into a minimum-uncertainty label.
 Output goes to stdout, or to --out PATH; the PT_CS_OUT_DIR environment
 variable overrides the output directory.  CSV starts with one
 '#'-prefixed metadata line echoing the applied settings (verify has no
-dim: its checks use fixed budgets); JSON mirrors it under "meta".
-Floats are printed with 17 significant digits, so identical runs produce
-byte-identical files.
+dim); JSON mirrors it under "meta".  Floats are printed with 17
+significant digits, so identical runs produce byte-identical files.
 
 The verify command accepts repeated --tol NAME=VALUE flags to override
 individual check tolerances (a pass/fail gate change, nothing numeric).
 
-Exit codes: 0 success, 1 numeric failure (a verification check failed),
-2 usage error, 3 success with an under-truncation warning.
+Exit codes: 0 success, 1 numeric failure (a verification check failed,
+or a state could not be computed), 2 usage error (an unknown flag, or a
+numeric value that is out of range or not finite), 3 success with an
+under-truncation warning.
 """
 
 import argparse
@@ -114,15 +122,14 @@ class RunConfig:
         if has_lambda and not has_z:
             raise ValueError("--lambda-re/--lambda-im require --z-re/--z-im")
         if has_zeta:
-            zeta = complex(self.zeta_re or 0.0, self.zeta_im or 0.0)
-            return KPLabel(zeta=zeta, alpha=self.alpha)
-        if has_z:
-            z = complex(self.z_re or 0.0, self.z_im or 0.0)
-            if has_lambda:
-                lam = complex(self.lambda_re or 0.0, self.lambda_im or 0.0)
-                return ISLabel(z=z, lam=lam, alpha=self.alpha)
-            return GKLabel(z=z, alpha=self.alpha)
-        return None
+            return KPLabel(zeta=complex(self.zeta_re or 0.0, self.zeta_im or 0.0), alpha=self.alpha)
+        if not has_z:
+            return None
+        z = complex(self.z_re or 0.0, self.z_im or 0.0)
+        if has_lambda:
+            lam = complex(self.lambda_re or 0.0, self.lambda_im or 0.0)
+            return ISLabel(z=z, lam=lam, alpha=self.alpha)
+        return GKLabel(z=z, alpha=self.alpha)
 
 
 def _fmt(v):
@@ -178,6 +185,13 @@ def _base_meta(config):
     }
 
 
+_FAMILIES = {
+    KPLabel: ("kp", kp_coefficients),
+    GKLabel: ("gk", gk_coefficients),
+    ISLabel: ("is", is_coefficients),
+}
+
+
 def _build_state(config):
     label = config.label()
     if label is None:
@@ -185,17 +199,8 @@ def _build_state(config):
             "this command needs a state label "
             "(--zeta-re/--zeta-im, or --z-re/--z-im [--lambda-re/--lambda-im])"
         )
-    params = config.params()
-    if isinstance(label, KPLabel):
-        state = kp_coefficients(params, label, config.dim)
-        family = "kp"
-    elif isinstance(label, ISLabel):
-        state = is_coefficients(params, label, config.dim)
-        family = "is"
-    else:
-        state = gk_coefficients(params, label, config.dim)
-        family = "gk"
-    return label, state, family
+    family, construct = _FAMILIES[type(label)]
+    return label, construct(config.params(), label, config.dim), family
 
 
 def cmd_spectrum(config):
@@ -261,7 +266,7 @@ def cmd_uncertainty(config):
     columns = ["dW2", "dP2", "meanG", "meanF", "rs_residual"]
     row = [v["dW2"], v["dP2"], v["meanG"], v["meanF"], rs_residual]
     if family == "gk":
-        closed = gk_mean_g(config.params(), abs(complex(config.z_re or 0.0, config.z_im or 0.0)))
+        closed = gk_mean_g(config.params(), abs(label.z))
         columns.extend(["meanG_closed", "meanG_closed_dev"])
         row.extend([closed, abs(closed - v["meanG"])])
     _emit(config, meta, columns, [tuple(row)])
@@ -269,43 +274,62 @@ def cmd_uncertainty(config):
 
 
 def cmd_verify(config):
-    params = config.params()
-    names = None
-    if config.suite and "all" not in config.suite:
-        names = list(config.suite)
-    reports = run_suite(params, names)
+    names = None if not config.suite or "all" in config.suite else list(config.suite)
+    reports = run_suite(config.params(), names)
     overrides = dict(config.tolerances)
     unknown = set(overrides) - {r.check_name for r in reports}
     if unknown:
-        raise ValueError(
-            f"tolerance override(s) for checks not in this run: {sorted(unknown)}"
-        )
+        raise ValueError(f"tolerance override(s) for checks not in this run: {sorted(unknown)}")
     reports = [
-        dataclasses.replace(r, tolerance=overrides[r.check_name])
-        if r.check_name in overrides
-        else r
-        for r in reports
+        dataclasses.replace(r, tolerance=overrides.get(r.check_name, r.tolerance)) for r in reports
     ]
     meta = _base_meta(config)
     del meta["dim"]  # the checks run at their own fixed budgets
     meta["checks"] = len(reports)
     columns = ("check_name", "max_deviation", "tolerance", "passed", "details")
-    rows = []
-    for r in reports:
-        detail_text = ";".join(
-            f"{k}={_fmt(v)}" for k, v in sorted(r.details.items())
-        )
-        rows.append((r.check_name, r.max_deviation, r.tolerance, r.passed, detail_text))
+    rows = [
+        (r.check_name, r.max_deviation, r.tolerance, r.passed,
+         ";".join(f"{k}={_fmt(v)}" for k, v in sorted(r.details.items())))
+        for r in reports
+    ]
     _emit(config, meta, columns, rows)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NUMERIC
 
 
+# Flag -> add_argument keywords.  Each dest is a RunConfig field, and the
+# subparsers add no defaults, so a flag left out keeps RunConfig's default.
+_FLAGS = {
+    "--kappa": dict(type=float, required=True, help="well strength, > 1"),
+    "--kappap": dict(type=float, required=True, help="well strength, > 1"),
+    "--a": dict(type=float, help="half-width scale, > 0"),
+    "--alpha": dict(type=float, help="ladder phase parameter"),
+    "--dim": dict(type=int, help="truncation dimension"),
+    "--grid": dict(type=int, help="position grid size"),
+    "--format": dict(dest="output_format", choices=("json", "csv")),
+    "--out": dict(help="output path (PT_CS_OUT_DIR overrides the directory)"),
+    "--zeta-re": dict(type=float), "--zeta-im": dict(type=float),
+    "--z-re": dict(type=float), "--z-im": dict(type=float),
+    "--lambda-re": dict(type=float), "--lambda-im": dict(type=float),
+    "--t": dict(type=float, help="evolution time"),
+    "--autocorr": dict(action="store_true", help="add the |<Psi(0)|Psi(t)>| column"),
+    "--suite": dict(type=lambda text: tuple(name for name in text.split(",") if name),
+                    help="comma-separated check names, or 'all'"),
+    "--tol": dict(dest="tolerances", action="append", metavar="NAME=VALUE",
+                  help="override one check's tolerance (repeatable)"),
+}
+
+_COMMON = ("--kappa", "--kappap", "--a", "--alpha", "--format", "--out")
+# the truncation and the label: what builds a state
+_STATE = ("--dim", "--zeta-re", "--zeta-im", "--z-re", "--z-im", "--lambda-re", "--lambda-im")
+
+# Subcommand -> (handler, the flags it reads).  verify reads --dim only
+# to check it: its checks run at fixed budgets.
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "state": cmd_state,
-    "wavefunction": cmd_wavefunction,
-    "uncertainty": cmd_uncertainty,
-    "verify": cmd_verify,
+    "spectrum": (cmd_spectrum, _COMMON + ("--dim",)),
+    "state": (cmd_state, _COMMON + _STATE),
+    "wavefunction": (cmd_wavefunction, _COMMON + _STATE + ("--grid", "--t", "--autocorr")),
+    "uncertainty": (cmd_uncertainty, _COMMON + _STATE),
+    "verify": (cmd_verify, _COMMON + ("--dim", "--suite", "--tol")),
 }
 
 
@@ -315,29 +339,12 @@ def build_parser():
         description="Coherent states of the trigonometric Poschl-Teller well.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--kappa", type=float, required=True, help="well strength, > 1")
-        p.add_argument("--kappap", type=float, required=True, help="well strength, > 1")
-        p.add_argument("--a", type=float, default=1.0, help="half-width scale, > 0")
-        p.add_argument("--alpha", type=float, default=0.0, help="ladder phase parameter")
-        p.add_argument("--dim", type=int, default=120, help="truncation dimension")
-        p.add_argument("--grid", type=int, default=400, help="position grid size")
-        p.add_argument("--format", choices=("json", "csv"), default="csv")
-        p.add_argument("--out", default=None, help="output path (PT_CS_OUT_DIR overrides the directory)")
-        p.add_argument("--zeta-re", type=float, default=None)
-        p.add_argument("--zeta-im", type=float, default=None)
-        p.add_argument("--z-re", type=float, default=None)
-        p.add_argument("--z-im", type=float, default=None)
-        p.add_argument("--lambda-re", type=float, default=None)
-        p.add_argument("--lambda-im", type=float, default=None)
-        p.add_argument("--t", type=float, default=0.0, help="evolution time")
-        p.add_argument("--autocorr", action="store_true",
-                       help="add the |<Psi(0)|Psi(t)>| column (wavefunction)")
-        p.add_argument("--suite", default="all",
-                       help="comma-separated check names, or 'all' (verify)")
-        p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                       help="override one check's tolerance (verify; repeatable)")
+    for name, (_, flags) in _COMMANDS.items():
+        # no abbreviations: a flag this subcommand lacks must not be read
+        # as the prefix of one it has (--t of --tol)
+        p = sub.add_parser(name, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -345,43 +352,22 @@ def _parse_tolerance(spec):
     name, sep, value = spec.partition("=")
     if not sep or not name:
         raise ValueError(f"tolerance override must look like NAME=VALUE, got {spec!r}")
-    return name, float(value)
-
-
-def config_from_args(args):
-    return RunConfig(
-        command=args.command,
-        kappa=args.kappa,
-        kappap=args.kappap,
-        a=args.a,
-        alpha=args.alpha,
-        dim=args.dim,
-        grid=args.grid,
-        output_format=args.format,
-        out=args.out,
-        zeta_re=args.zeta_re,
-        zeta_im=args.zeta_im,
-        z_re=args.z_re,
-        z_im=args.z_im,
-        lambda_re=args.lambda_re,
-        lambda_im=args.lambda_im,
-        t=args.t,
-        autocorr=args.autocorr,
-        suite=tuple(s for s in args.suite.split(",") if s),
-        tolerances=tuple(_parse_tolerance(spec) for spec in args.tol),
-    )
+    tol = float(value)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance for {name} must be finite and >= 0, got {value}")
+    return name, tol
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    fields = vars(build_parser().parse_args(argv))
     try:
-        config = config_from_args(args)
+        fields["tolerances"] = tuple(map(_parse_tolerance, fields.get("tolerances", ())))
+        config = RunConfig(**fields)
         if config.dim < 1:
             raise ValueError(f"--dim must be >= 1, got {config.dim}")
         config.params()  # validate bounds before doing any work
         config.label()  # validates the label flags too
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[config.command][0](config)
     except (ValueError, KeyError) as exc:
         print(f"pt-cs: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -49,12 +49,12 @@ class PotentialParams:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not (self.kappa > 1.0):
-            raise ValueError(f"kappa must be > 1, got {self.kappa}")
-        if not (self.kappap > 1.0):
-            raise ValueError(f"kappap must be > 1, got {self.kappap}")
-        if not (self.a > 0.0):
-            raise ValueError(f"a must be > 0, got {self.a}")
+        if not (1.0 < self.kappa < math.inf):
+            raise ValueError(f"kappa must be > 1 and finite, got {self.kappa}")
+        if not (1.0 < self.kappap < math.inf):
+            raise ValueError(f"kappap must be > 1 and finite, got {self.kappap}")
+        if not (0.0 < self.a < math.inf):
+            raise ValueError(f"a must be > 0 and finite, got {self.a}")
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
 

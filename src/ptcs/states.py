@@ -17,6 +17,7 @@ while the exact coefficient-level evolution c_n -> exp(-i e_n t) c_n is
 available for any state.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -73,7 +74,7 @@ class KPLabel:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if abs(self.zeta) >= 1.0:
+        if not abs(self.zeta) < 1.0:  # NaN included
             raise ValueError(f"|zeta| must be < 1, got {abs(self.zeta)}")
 
 
@@ -85,7 +86,7 @@ class GKLabel:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.z.real) and math.isfinite(self.z.imag)):
+        if not cmath.isfinite(self.z):
             raise ValueError("z must be finite")
 
 
@@ -102,6 +103,10 @@ class ISLabel:
     alpha: float = 0.0
 
     def __post_init__(self):
+        if not cmath.isfinite(self.z):
+            raise ValueError("z must be finite")
+        if not cmath.isfinite(self.lam):
+            raise ValueError("lambda must be finite")
         if self.lam == -1:
             raise ValueError("lambda = -1 admits no normalizable state")
 
@@ -109,6 +114,12 @@ class ISLabel:
 def _phases(params, t, dim):
     """exp(-i t e_n) for n < dim: the label phase (t = alpha) and the evolution."""
     return np.exp(-1j * t * energy(params, np.arange(dim)))
+
+
+def _numeric_failure(params, label, finite):
+    """The ArithmeticError for coefficients that are all zero or not finite."""
+    why = "no mass in the truncated basis" if finite else "non-finite coefficients"
+    return ArithmeticError(f"{why} at kappa = {params.kappa}, kappa' = {params.kappap}, label {label}")
 
 
 def _finish(params, label, coeffs, tail):
@@ -119,8 +130,7 @@ def _finish(params, label, coeffs, tail):
     """
     finite = np.all(np.isfinite(coeffs))
     if not (finite and np.any(coeffs)):
-        why = "no mass in the truncated basis" if finite else "non-finite coefficients"
-        raise ArithmeticError(f"{why} at kappa = {params.kappa}, kappa' = {params.kappap}, label {label}")
+        raise _numeric_failure(params, label, finite)
     return StateVector(
         coeffs,
         _with_label_alpha(params, label),
@@ -171,17 +181,10 @@ def kp_kernel(params, label1, label2, dim):
 
     Conjugate-linear inner product of the coefficient vectors; the
     relative phase enters as e^{-i (alpha2-alpha1) e_n}, the form forced
-    by <state|state> = 1.
+    by <state|state> = 1.  It is the transform of the second state at the
+    first label.
     """
-    s1 = kp_coefficients(params, label1, dim)
-    s2 = kp_coefficients(params, label2, dim)
-    if s1.under_truncated or s2.under_truncated:
-        warnings.warn(
-            f"kernel at dim {dim} discards mass beyond the tail bounds "
-            f"({s1.tail_bound:.2e}, {s2.tail_bound:.2e})",
-            stacklevel=2,
-        )
-    return complex(np.vdot(s1.coeffs, s2.coeffs))
+    return analytic_repr(params, kp_coefficients(params, label2, dim), label1)
 
 
 def evolve(label, t):
@@ -206,6 +209,8 @@ def evolve_coefficients(state, t):
     The recorded phase-convention parameter rides along (alpha -> alpha+t)
     so operator actions on the evolved state stay consistent.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     return StateVector(
         state.coeffs * _phases(state.params, t, state.dim),
         replace(state.params, alpha=state.params.alpha + t),
@@ -229,7 +234,10 @@ def gk_coefficients(params, label, dim):
         coeffs = np.zeros(dim, dtype=complex)
         coeffs[0] = 1.0
         return _finish(params, label, coeffs, 0.0)
-    log_norm = 0.5 * (s * math.log(r) - math.log(bessel_i(s, 2.0 * r)))
+    bessel = bessel_i(s, 2.0 * r)
+    if not 0.0 < bessel < math.inf:  # N(|z|)^2 = |z|^s / I_s would be 0 or not finite
+        raise _numeric_failure(params, label, finite=bessel == math.inf)
+    log_norm = 0.5 * (s * math.log(r) - math.log(bessel))
     n = np.arange(dim, dtype=float)
     log_den = 0.5 * (log_gamma(n + 1.0) + log_gamma(n + s + 1.0))
     mags = np.exp(log_norm + n * math.log(r) - log_den)

@@ -1,13 +1,19 @@
 """Command-line interface: formats, exit codes, determinism, round-trips."""
 
+import dataclasses
 import json
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
-from ptcs.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_WARN, RunConfig, main
+import ptcs.cli
+from ptcs.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_WARN, RunConfig, _parse_tolerance, build_parser, main
 
 BASE = ["--kappa", "2", "--kappap", "2"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -42,7 +48,9 @@ class TestSpectrum:
     @pytest.mark.parametrize("command", ["spectrum", "state", "wavefunction", "uncertainty", "verify"])
     @pytest.mark.parametrize("dim", ["0", "-3"])
     def test_nonpositive_dim_is_usage_error(self, capsys, command, dim):
-        code, out, err = run(capsys, command, *BASE, "--z-re", "1", f"--dim={dim}")
+        # spectrum and verify take no label flag
+        label = ["--z-re", "1"] if command in ("state", "wavefunction", "uncertainty") else []
+        code, out, err = run(capsys, command, *BASE, *label, f"--dim={dim}")
         assert code == EXIT_USAGE
         assert out == "" and "--dim" in err
 
@@ -116,6 +124,16 @@ class TestState:
             )
         assert code == EXIT_NUMERIC
         assert out == "" and "kappa = 1e+300" in err and "KPLabel" in err
+
+    @pytest.mark.parametrize("kappa", ["1e200", "1e300"])
+    def test_underflowing_gk_norm_is_numeric_failure_without_warning(self, capsys, kappa):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "state", "--kappa", kappa, "--kappap", "2", "--z-re", "0.3", "--dim", "4"
+            )
+        assert code == EXIT_NUMERIC
+        assert out == "" and "GKLabel" in err
 
     def test_overflowing_gk_is_numeric_failure(self, capsys):
         code, out, err = run(capsys, "state", *BASE, "--z-re", "400", "--dim", "4000")
@@ -307,3 +325,119 @@ class TestRunConfig:
             output_format="json",
         )
         assert RunConfig.from_dict(config.as_dict()) == config
+
+
+COMMON = ("--kappa", "--kappap", "--a", "--alpha", "--format", "--out")
+STATE = ("--dim", "--zeta-re", "--zeta-im", "--z-re", "--z-im", "--lambda-re", "--lambda-im")
+READS = {
+    "spectrum": COMMON + ("--dim",),
+    "state": COMMON + STATE,
+    "wavefunction": COMMON + STATE + ("--grid", "--t", "--autocorr"),
+    "uncertainty": COMMON + STATE,
+    "verify": COMMON + ("--dim", "--suite", "--tol"),
+}
+SAMPLE = {
+    "--kappa": "3", "--kappap": "3", "--a": "1.5", "--alpha": "0.2", "--format": "json",
+    "--out": "levels.csv", "--dim": "5", "--grid": "50", "--zeta-re": "0.1", "--zeta-im": "0.1",
+    "--z-re": "0.5", "--z-im": "0.5", "--lambda-re": "1", "--lambda-im": "0.5", "--t": "1",
+    "--autocorr": None, "--suite": "kp-identity", "--tol": "kp-identity=1",
+}
+
+
+def flag_argv(flag):
+    return [flag] if SAMPLE[flag] is None else [flag, SAMPLE[flag]]
+
+
+class TestFlagTable:
+    def test_table_size(self):
+        assert sum(len(flags) for flags in READS.values()) == 58
+        assert set().union(*READS.values()) == set(SAMPLE)
+
+    @pytest.mark.parametrize("flag", list(SAMPLE))
+    @pytest.mark.parametrize("command", list(READS))
+    def test_each_subcommand_parses_only_the_flags_it_reads(self, capsys, command, flag):
+        argv = [command, *BASE, *flag_argv(flag)]
+        if flag in READS[command]:
+            fields = vars(build_parser().parse_args(argv))
+            assert set(fields) <= {f.name for f in dataclasses.fields(RunConfig)}
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_USAGE
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_missing_flag_keeps_run_config_default(self):
+        fields = vars(build_parser().parse_args(["wavefunction", *BASE]))
+        config = RunConfig(**fields)
+        assert config == RunConfig(command="wavefunction", kappa=2.0, kappap=2.0)
+
+    def test_no_abbreviation_reaches_another_flag(self):
+        # --t is a prefix of --tol, which verify does read
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *BASE, "--suite", "kp-identity", "--t", "3"])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_ignored_flags_are_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", *BASE, "--dim", "3", "--z-re", "5", "--suite", "foo",
+                  "--tol", "x=1", "--t", "3", "--grid", "7"])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_spectrum_help_lists_only_its_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--help"])
+        assert exc.value.code == EXIT_OK
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == set(READS["spectrum"]) | {"--help"}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["spectrum", *BASE, "--a", "inf"], "a"),
+            (["state", "--kappa", "inf", "--kappap", "2", "--z-re", "1"], "kappa"),
+            (["state", *BASE, "--zeta-re", "nan"], "zeta"),
+            (["state", *BASE, "--z-re", "1", "--lambda-re", "nan"], "lambda"),
+            (["wavefunction", *BASE, "--z-re", "1", "--dim", "20", "--grid", "40", "--t", "inf"], "t"),
+            (["verify", *BASE, "--suite", "pi-recursion", "--tol", "pi-recursion=nan"], "pi-recursion"),
+        ],
+    )
+    def test_is_usage_error_without_warning(self, capsys, argv, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and re.search(rf"usage error: .*\b{name}\b", err)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="tolerance for kp-identity"):
+            _parse_tolerance(f"kp-identity={value}")
+
+    def test_zero_tolerance_parses(self):
+        assert _parse_tolerance("kp-identity=0") == ("kp-identity", 0.0)
+
+
+def _examples(text):
+    return [line.split(None, 1)[1] for line in text.splitlines() if line.strip().startswith("pt-cs ")]
+
+
+def _readme_examples():
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    return _examples(block)
+
+
+def _docstring_examples():
+    usage = ptcs.cli.__doc__.split("Usage:", 1)[1].split("\n\n", 1)[0]
+    return _examples(usage)
+
+
+class TestDocumentedExamples:
+    def test_both_sources_have_examples(self):
+        assert _readme_examples() and _docstring_examples()
+
+    @pytest.mark.parametrize("line", _readme_examples() + _docstring_examples())
+    def test_example_exits_zero(self, capsys, line):
+        code, out, _ = run(capsys, *shlex.split(line))
+        assert code == EXIT_OK and out

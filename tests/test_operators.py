@@ -40,6 +40,14 @@ class TestParams:
         with pytest.raises(ValueError, match="alpha"):
             PotentialParams(kappa=2.0, kappap=2.0, alpha=math.inf)
 
+    @pytest.mark.parametrize("name", ["kappa", "kappap", "a"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, name, value):
+        fields = dict(kappa=2.0, kappap=2.0, a=1.0)
+        fields[name] = value
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            PotentialParams(**fields)
+
     def test_strength_sum(self):
         assert PASYM.strength_sum == 4.0
 

@@ -62,6 +62,11 @@ class TestKPCoefficients:
         with pytest.raises(ValueError):
             kp_coefficients(P22, KPLabel(zeta=0.5), 0)
 
+    @pytest.mark.parametrize("zeta", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)])
+    def test_non_finite_zeta_rejected(self, zeta):
+        with pytest.raises(ValueError, match="zeta"):
+            KPLabel(zeta=zeta)
+
 
 class TestKPFromZ:
     def test_zero_maps_to_ground(self):
@@ -119,6 +124,12 @@ class TestEvolution:
     def test_zero_time_identity(self):
         label = KPLabel(zeta=0.3, alpha=0.2)
         assert evolve(label, 0.0) == label
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        state = gk_coefficients(P22, GKLabel(z=1.0), 20)
+        with pytest.raises(ValueError, match="^t must be finite"):
+            evolve_coefficients(state, t)
 
     @pytest.mark.parametrize("family", ["kp", "gk"])
     def test_label_vs_coefficient_evolution(self, family):
@@ -269,6 +280,19 @@ class TestISCoefficients:
             is_coefficients(P22, ISLabel(z=1.0, lam=lam), 120)
         assert str(complex(lam)) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "z, lam, name",
+        [
+            (complex(math.nan, 0.0), 1.0, "z"),
+            (complex(0.0, math.inf), 1.0, "z"),
+            (1.0, complex(math.nan, 0.0), "lambda"),
+            (1.0, complex(0.5, -math.inf), "lambda"),
+        ],
+    )
+    def test_non_finite_label_rejected(self, z, lam, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ISLabel(z=z, lam=lam)
+
     def test_lambda_minus_one_rejected(self):
         with pytest.raises(ValueError):
             ISLabel(z=0.5, lam=-1.0)
@@ -392,6 +416,13 @@ class TestBrokenStateFailsLoudly:
         # I_s(800) overflows, so every coefficient would be 0 with tail_bound 0
         with pytest.raises(ArithmeticError, match=r"no mass.*kappa = 2\.0.*GKLabel"):
             gk_coefficients(P22, GKLabel(z=400.0), 4000)
+
+    @pytest.mark.parametrize("kappa", [1e200, 1e300])
+    def test_underflowing_gk_norm_raises_naming_parameters_and_label(self, kappa):
+        # I_s(0.6) underflows to 0.0, so the normalization would be infinite
+        params = PotentialParams(kappa=kappa, kappap=2.0)
+        with pytest.raises(ArithmeticError, match=r"non-finite.*kappa = 1e\+[23]00, kappa' = 2\.0.*GKLabel"):
+            gk_coefficients(params, GKLabel(z=0.3), 4)
 
     def test_finite_states_still_built(self):
         assert gk_coefficients(P22, GKLabel(z=30.0), 400).norm_deficit() <= 1e-12
