@@ -365,6 +365,8 @@ def main(argv=None):
         config = RunConfig(**fields)
         if config.dim < 1:
             raise ValueError(f"--dim must be >= 1, got {config.dim}")
+        if config.grid < 2:
+            raise ValueError(f"--grid must be >= 2, got {config.grid}")
         config.params()  # validate bounds before doing any work
         config.label()  # validates the label flags too
         return _COMMANDS[config.command][0](config)

@@ -234,7 +234,10 @@ def gk_coefficients(params, label, dim):
         coeffs = np.zeros(dim, dtype=complex)
         coeffs[0] = 1.0
         return _finish(params, label, coeffs, 0.0)
-    bessel = bessel_i(s, 2.0 * r)
+    try:
+        bessel = bessel_i(s, 2.0 * r)
+    except OverflowError:  # its leading term is already past the float range
+        bessel = math.inf
     if not 0.0 < bessel < math.inf:  # N(|z|)^2 = |z|^s / I_s would be 0 or not finite
         raise _numeric_failure(params, label, finite=bessel == math.inf)
     log_norm = 0.5 * (s * math.log(r) - math.log(bessel))

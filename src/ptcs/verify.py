@@ -8,6 +8,12 @@ against the closed Gamma/Beta forms.  Where the two routes disagree, the
 check reports it; nothing here shares code with the path it validates
 beyond the elementary special functions.
 
+The nested-sum series runs in exact integer arithmetic at every strength
+sum: a float is a dyadic rational, so s = kappa + kappa' = P/Q exactly
+with Q = 2^b (Q = 1 for integer s), and the scaled table Q^j pi(k, j) has
+integer entries.  Its budget of terms grows with s, because the terms of
+the alternating series peak later as the level spacings widen.
+
 The module also adjudicates the radial measure index for the
 lowering-eigenstate family: the weight I_s(2r) K_nu(2r) resolves the
 identity only when the second index is nu = s = kappa + kappa' (the
@@ -17,6 +23,7 @@ by a large margin and both numbers are recorded.
 
 import functools
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -109,56 +116,54 @@ def displacement_oracle(params, z, dim):
 
 
 def _energies(params, count):
-    s = params.strength_sum
-    if float(s).is_integer():
-        si = int(s)
-        return [i * (i + si) for i in range(count)]
-    return [float(i) * (i + s) for i in range(count)]
+    """Q e_i = i(iQ + P) for 0 <= i < count, exact integers; s = P/Q with Q = 2^b."""
+    p, q = float(params.strength_sum).as_integer_ratio()
+    return [i * (i * q + p) for i in range(count)]
+
+
+def _series_budget(params):
+    """j_max for c_n at n <= 8, |z| <= 0.9: covers the stop index up to s = 60 by >= 12."""
+    return 64 + 3 * math.ceil(params.strength_sum)
 
 
 def pi_table(params, n_max, j_max):
-    """Nested-sum table pi(k, j) for 1 <= k <= n_max + 2, 0 <= j <= j_max.
+    """Nested-sum table Q^j pi(k, j) for 1 <= k <= n_max + 2, 0 <= j <= j_max.
 
-    pi(k, j) = sum_{i=1..k} e_i * pi(i+1, j-1), pi(k, 0) = 1.  When
-    kappa + kappa' is an integer every entry is an exact Python integer
-    (arbitrary precision), so the difference identity
+    pi(k, j) = sum_{i=1..k} e_i * pi(i+1, j-1), pi(k, 0) = 1.  With
+    s = kappa + kappa' = P/Q read exactly from the float (Q a power of
+    two), Q e_i = i(iQ + P) is an integer, so every entry Q^j pi(k, j) is
+    an exact Python integer (arbitrary precision); for integer s, Q = 1
+    and the entries are pi(k, j) itself.  The difference identity
 
         pi(n+1, j) - pi(n, j) = e_{n+1} pi(n+2, j-1)
 
-    can be asserted with zero tolerance.
+    therefore holds with zero tolerance at every s, scaled by Q^j.
     """
     if n_max < 0 or j_max < 0:
         raise ValueError("n_max and j_max must be >= 0")
-    k_top = n_max + 2 + 2 * j_max + 2  # deeper indices feed lower j levels
-    e = _energies(params, k_top + 2)
-    exact = float(params.strength_sum).is_integer()
-    one = 1 if exact else 1.0
-    prev = {k: one for k in range(1, k_top + 2)}
-    table = {(k, 0): one for k in range(1, n_max + 3)}
-    for j in range(1, j_max + 1):
-        cur = {}
-        running = 0 if exact else 0.0
-        for k in range(1, k_top + 2 - 2 * j):
-            running = running + e[k] * prev[k + 1]
-            cur[k] = running
-        for k in range(1, n_max + 3):
-            if k in cur:
-                table[(k, j)] = cur[k]
-        prev = cur
+    top = n_max + 2 + j_max  # level j needs rows k <= top - j to feed level j + 1
+    e = _energies(params, top)
+    level = [1] * (top + 1)  # level[k] = Q^j pi(k, j); slot 0 unused
+    table = {}
+    for j in range(j_max + 1):
+        if j:
+            terms = (e[k] * level[k + 1] for k in range(1, top - j + 1))
+            level = list(accumulate(terms, initial=0))
+        table.update(((k, j), level[k]) for k in range(1, n_max + 3))
     return table
 
 
 def cn_series(params, n, zmod, j_max, table=None):
     """Expansion coefficient c_n(|z|) from its alternating nested-sum series.
 
-    c_n = sum_j (-|z|^2)^j pi(n+1, j) / (n+2j)!.  For integer
-    kappa + kappa' the sum is exact: with |z| = p/q read exactly from the
-    float, it is one integer numerator over the running denominator
-    q^(2j) (n+2j)!, never reduced, and each float is one correctly rounded
-    integer division, so the alternating cancellation costs no precision;
-    otherwise floats are used.  Raises ConvergenceError if j_max leaves
-    the last term above the convergence threshold.  ``table`` may be a
-    pi_table for the same params with n_max >= n and the same j_max,
+    c_n = sum_j (-|z|^2)^j pi(n+1, j) / (n+2j)!, summed exactly: with
+    |z| = p/q read exactly from the float and the table holding
+    Q^j pi(k, j) (see pi_table), the sum is one integer numerator over
+    the running denominator q^(2j) Q^j (n+2j)!, never reduced, and each
+    float is one correctly rounded integer division, so the alternating
+    cancellation costs no precision.  Raises ConvergenceError if j_max
+    leaves the last term above the convergence threshold.  ``table`` may
+    be a pi_table for the same params with n_max >= n and the same j_max,
     shared between calls; by default one is built here.
     """
     if n < 0 or n != int(n):
@@ -169,29 +174,17 @@ def cn_series(params, n, zmod, j_max, table=None):
         table = pi_table(params, n, j_max)
     elif (n + 1, j_max) not in table:
         raise ValueError(f"table lacks pi({n + 1}, {j_max}); need n_max >= {n}, j_max = {j_max}")
-    exact = float(params.strength_sum).is_integer()
-    if exact:
-        p, q = float(zmod).as_integer_ratio()
-        num, den, power = 0, math.factorial(n), 1  # sum so far is num / den
-    total = 0.0
+    p, q = float(zmod).as_integer_ratio()
+    s_den = float(params.strength_sum).as_integer_ratio()[1]
+    num, den, power = 0, math.factorial(n), 1  # sum so far is num / den
     for j in range(j_max + 1):
-        pi_val = table[(n + 1, j)]
-        if exact:
-            top = (-power if j % 2 else power) * pi_val
-            num += top
-            mag, total = abs(top / den), num / den
-            step = q * q * (n + 2 * j + 1) * (n + 2 * j + 2)
-            power, num, den = power * p * p, num * step, den * step
-        else:
-            term = (
-                (-(zmod * zmod)) ** j
-                * pi_val
-                * math.exp(-log_gamma(n + 2 * j + 1.0))
-            )
-            total += term
-            mag = abs(term)
-        if mag <= 1e-16 * max(abs(total), 1e-300):
+        top = (-power if j % 2 else power) * table[(n + 1, j)]
+        num += top
+        total = num / den
+        if abs(top / den) <= 1e-16 * max(abs(total), 1e-300):
             return total
+        step = q * q * s_den * (n + 2 * j + 1) * (n + 2 * j + 2)
+        power, num, den = power * p * p, num * step, den * step
     raise ConvergenceError(
         f"series for c_{n}({zmod}) still has significant terms at j_max = {j_max}", total
     )
@@ -401,11 +394,12 @@ def _check_displacement(params, dim=120):
 
 
 def _check_cn_triple(params):
-    table = pi_table(params, 8, 80)
+    j_max = _series_budget(params)
+    table = pi_table(params, 8, j_max)
     worst = 0.0
     for n in range(0, 9):
         for zmod in (0.1, 0.4, 0.9):
-            series = cn_series(params, n, zmod, 80, table)
+            series = cn_series(params, n, zmod, j_max, table)
             closed = cn_closed_form(params, n, zmod)
             jfn = cn_from_jacobi_fn(params, n, zmod)
             scale = max(abs(closed), 1e-300)
@@ -419,53 +413,45 @@ def _check_cn_triple(params):
         check_name="cn-triple-agreement",
         max_deviation=worst,
         tolerance=1e-10,
-        details={"n_max": 8.0},
+        details={"n_max": 8.0, "j_max": float(j_max)},
     )
 
 
 def _check_pi_recursion(params, n_max=10, j_max=5):
     table = pi_table(params, n_max, j_max)
-    exact = float(params.strength_sum).is_integer()
     e = _energies(params, n_max + 3)
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        for j in range(1, j_max + 1):
-            lhs = table[(n + 1, j)] - table[(n, j)]
-            rhs = e[n + 1] * table[(n + 2, j - 1)]
-            if exact:
-                worst = max(worst, 0.0 if lhs == rhs else 1.0)
-            else:
-                worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
-    return VerifyReport(
-        check_name="pi-recursion",
-        max_deviation=worst,
-        tolerance=0.0 if exact else 1e-12,
-        details={"exact_arithmetic": float(exact)},
+    mismatch = any(
+        table[(n + 1, j)] - table[(n, j)] != e[n + 1] * table[(n + 2, j - 1)]
+        for n in range(1, n_max + 1)
+        for j in range(1, j_max + 1)
     )
+    return VerifyReport(check_name="pi-recursion", max_deviation=float(mismatch), tolerance=0.0)
 
 
 def _check_cn_ode(params, zmod=0.5, n_max=6):
     """|z| c_n' = c_{n-1} - n c_n - (n+1)(n+1+s) |z|^2 c_{n+1}, via 5-point stencil."""
     s = params.strength_sum
     h = 1e-3
-    table = pi_table(params, n_max + 1, 80)
+    j_max = _series_budget(params)
+    table = pi_table(params, n_max + 1, j_max)
+
+    @functools.cache  # the stencil and the three levels share points
+    def c(k, r):
+        return cn_series(params, k, r, j_max, table)
+
     worst = 0.0
     for n in range(0, n_max + 1):
-        def c(r, k=n):
-            return cn_series(params, k, r, 80, table)
-
-        deriv = (-c(zmod + 2 * h) + 8 * c(zmod + h) - 8 * c(zmod - h) + c(zmod - 2 * h)) / (
-            12.0 * h
-        )
-        lower = c(zmod, n - 1) if n >= 1 else 0.0
-        upper = c(zmod, n + 1)
-        rhs = lower - n * c(zmod) - (n + 1.0) * (n + 1.0 + s) * zmod * zmod * upper
+        deriv = (
+            -c(n, zmod + 2 * h) + 8 * c(n, zmod + h) - 8 * c(n, zmod - h) + c(n, zmod - 2 * h)
+        ) / (12.0 * h)
+        lower = c(n - 1, zmod) if n >= 1 else 0.0
+        rhs = lower - n * c(n, zmod) - (n + 1.0) * (n + 1.0 + s) * zmod * zmod * c(n + 1, zmod)
         worst = max(worst, abs(zmod * deriv - rhs))
     return VerifyReport(
         check_name="cn-ode",
         max_deviation=worst,
         tolerance=1e-6,
-        details={"zmod": zmod, "n_max": float(n_max)},
+        details={"zmod": zmod, "n_max": float(n_max), "j_max": float(j_max)},
     )
 
 

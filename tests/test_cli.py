@@ -140,6 +140,12 @@ class TestState:
         assert code == EXIT_NUMERIC
         assert out == "" and "no mass" in err and "GKLabel" in err
 
+    @pytest.mark.parametrize("command", ["state", "uncertainty"])
+    def test_gk_norm_past_float_range_is_numeric_failure(self, capsys, command):
+        code, out, err = run(capsys, command, *BASE, "--z-re", "1e300", "--dim", "10")
+        assert code == EXIT_NUMERIC
+        assert out == "" and "no mass" in err and "kappa = 2.0" in err and "GKLabel" in err
+
     def test_conflicting_labels_rejected(self, capsys):
         code, _, err = run(
             capsys, "state", *BASE, "--zeta-re", "0.3", "--z-re", "0.5"
@@ -183,6 +189,12 @@ class TestWavefunction:
         assert columns[-1] == "autocorr_abs"
         assert float(meta["autocorr_abs"]) == pytest.approx(1.0, abs=1e-10)
         assert float(rows[0][-1]) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("grid", ["0", "1", "-5"])
+    def test_grid_below_two_is_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, "wavefunction", *BASE, "--z-re", "1", f"--grid={grid}")
+        assert code == EXIT_USAGE
+        assert out == "" and "--grid" in err
 
     def test_autocorrelation_bounded_and_revives(self, capsys):
         _, out, _ = run(
@@ -262,6 +274,19 @@ class TestVerifyCommand:
         assert len(rows) == 10
         code, out2, _ = run(capsys, "verify", *BASE, "--suite", "all")
         assert out1 == out2  # byte-identical
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kappa", "3.8", "--kappap", "3.8"],
+            ["--kappa", "6.1", "--kappap", "6.1"],
+            ["--kappa", "30", "--kappap", "30", "--suite", "cn-triple-agreement,cn-ode,pi-recursion"],
+        ],
+    )
+    def test_series_checks_pass_at_non_integer_and_large_strengths(self, capsys, argv):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == EXIT_OK
+        assert all(row[3] == "true" for row in parse_csv(out)[2])
 
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", *BASE, "--suite", "bogus")

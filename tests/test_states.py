@@ -417,6 +417,11 @@ class TestBrokenStateFailsLoudly:
         with pytest.raises(ArithmeticError, match=r"no mass.*kappa = 2\.0.*GKLabel"):
             gk_coefficients(P22, GKLabel(z=400.0), 4000)
 
+    def test_gk_norm_past_float_range_raises_naming_parameters_and_label(self):
+        # I_s(2e300) overflows inside bessel_i; it counts as I_s = inf
+        with pytest.raises(ArithmeticError, match=r"no mass.*kappa = 2\.0, kappa' = 2\.0.*GKLabel"):
+            gk_coefficients(P22, GKLabel(z=1e300), 10)
+
     @pytest.mark.parametrize("kappa", [1e200, 1e300])
     def test_underflowing_gk_norm_raises_naming_parameters_and_label(self, kappa):
         # I_s(0.6) underflows to 0.0, so the normalization would be infinite

@@ -56,9 +56,29 @@ def displacement_generator(params, z, dim=120):
     return z * ops.a_plus.entries - np.conj(z) * ops.a_minus.entries
 
 
-def cn_series_fraction(params, n, zmod, j_max):
-    """Reference: the exact-rational cn_series loop accumulated in Fraction."""
-    table = pi_table(params, n, j_max)
+def pi_table_fraction(params, n_max, j_max):
+    """Reference: pi(k, j) itself, summed in Fraction from the energies i(i + s)."""
+    s = Fraction(params.strength_sum)  # exact: a float is a dyadic rational
+    rows = n_max + 2 + j_max
+    level = [Fraction(1)] * (rows + 1)
+    table = {(k, 0): level[k] for k in range(1, n_max + 3)}
+    for j in range(1, j_max + 1):
+        running, cur = Fraction(0), [None]
+        for i in range(1, rows - j + 1):
+            running += i * (i + s) * level[i + 1]
+            cur.append(running)
+        level = cur
+        table.update({(k, j): level[k] for k in range(1, n_max + 3)})
+    return table
+
+
+def cn_series_fraction(params, n, zmod, j_max, table=None):
+    """Reference: the exact-rational cn_series loop accumulated in Fraction.
+
+    ``table`` holds pi(k, j) itself; the default pi_table is right only
+    for integer s, where its entries carry no power of the denominator.
+    """
+    table = table or pi_table(params, n, j_max)
     r2 = Fraction(zmod) ** 2
     total, sign, fact, power = Fraction(0), 1, math.factorial(n), Fraction(1)
     for j in range(j_max + 1):
@@ -257,14 +277,14 @@ class TestPiTable:
                 assert lhs == rhs  # exact integers, no tolerance
 
     def test_float_variant_for_general_strengths(self):
+        # s = P/Q exactly, Q a power of two; the entries are Q^j pi(k, j)
         table = pi_table(PASYM, 6, 3)
-        assert isinstance(table[(3, 2)], float)
-        s = PASYM.strength_sum
+        assert isinstance(table[(3, 2)], int)
+        P, Q = PASYM.strength_sum.as_integer_ratio()
         for n in range(1, 6):
             for j in range(1, 4):
                 lhs = table[(n + 1, j)] - table[(n, j)]
-                rhs = (n + 1) * ((n + 1) + s) * table[(n + 2, j - 1)]
-                assert lhs == pytest.approx(rhs, rel=1e-12)
+                assert lhs == (n + 1) * ((n + 1) * Q + P) * table[(n + 2, j - 1)]
 
     @pytest.mark.parametrize("params", [P22, PASYM], ids=["integer-s", "float-s"])
     def test_bigger_table_holds_same_prefix(self, params):
@@ -272,8 +292,7 @@ class TestPiTable:
         for n in range(0, 10):
             small = pi_table(params, n, 80)
             assert all(big[key] == value for key, value in small.items())
-        kind = int if params is P22 else float
-        assert all(type(value) is kind for value in big.values())
+        assert all(type(value) is int for value in big.values())
 
     def test_nested_sum_brute_force_oracle(self):
         # j = 2 entry computed from the literal double sum
@@ -337,6 +356,19 @@ class TestCnSeries:
             for zmod in zmods:
                 assert cn_series(params, n, zmod, 80) == cn_series_fraction(params, n, zmod, 80)
 
+    @pytest.mark.parametrize("kappap", [2.2, 3.8, 6.1])
+    def test_float_strengths_equal_fraction_reference(self, kappap):
+        # s is not an integer: the pi table of the reference is summed in
+        # Fraction from i(i + s), not taken from pi_table
+        params = PotentialParams(kappa=1.7, kappap=kappap)
+        j_max = verify._series_budget(params)
+        table = pi_table_fraction(params, 8, j_max)
+        h = 1e-3
+        zmods = (0.1, 0.4, 0.9, 0.5, 0.5 + h, 0.5 - h, 0.5 + 2 * h, 0.5 - 2 * h)
+        for n in range(0, 9):
+            for zmod in zmods:
+                assert cn_series(params, n, zmod, j_max) == cn_series_fraction(params, n, zmod, j_max, table)
+
     @pytest.mark.parametrize("n, zmod, j_max", [(4, 0.9, 4), (0, 0.4, 2), (8, 0.9, 10)])
     def test_exact_partial_sum_equals_fraction_loop(self, n, zmod, j_max):
         with pytest.raises(ConvergenceError) as new:
@@ -357,6 +389,20 @@ class TestCnSeries:
             upper = cn_series(P22, n + 1, zmod, 80)
             rhs = lower - n * c(zmod) - (n + 1.0) * (n + 1.0 + s) * zmod**2 * upper
             assert zmod * deriv == pytest.approx(rhs, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "kappa, kappap",
+    [(1.1, 1.1), (2.0, 3.0), (3.8, 3.8), (6.1, 6.1), (10.0, 10.0), (15.3, 15.3), (20.0, 25.3), (30.0, 30.0)],
+)
+def test_series_checks_across_strengths(kappa, kappap):
+    # s from 2.2 to 60, integer and not: one exact path, budget from s
+    params = PotentialParams(kappa=kappa, kappap=kappap)
+    triple, recursion, ode = run_suite(params, ["cn-triple-agreement", "pi-recursion", "cn-ode"])
+    assert triple.max_deviation <= 1e-13
+    assert recursion.passed and recursion.tolerance == 0.0
+    assert ode.passed
+    assert triple.details["j_max"] == ode.details["j_max"] == verify._series_budget(params)
 
 
 class TestKPIdentity:
@@ -465,6 +511,17 @@ class TestRunSuite:
         for name in SUITE_NAMES:
             run_suite(P22, [name])
         assert len(calls) == 24  # nothing is kept between calls
+
+    def test_cn_ode_evaluates_each_point_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return cn_series(*args)
+
+        monkeypatch.setattr(verify, "cn_series", counted)
+        run_suite(P22, ["cn-ode"])
+        assert len(calls) == len(set(calls)) == 36  # 7 levels x 4 stencil points, 8 levels at |z|
 
     def test_dense_matrices_built_once_per_check_use(self, monkeypatch):
         import ptcs
