@@ -12,7 +12,9 @@ The nested-sum series runs in exact integer arithmetic at every strength
 sum: a float is a dyadic rational, so s = kappa + kappa' = P/Q exactly
 with Q = 2^b (Q = 1 for integer s), and the scaled table Q^j pi(k, j) has
 integer entries.  Its budget of terms grows with s, because the terms of
-the alternating series peak later as the level spacings widen.
+the alternating series peak later as the level spacings widen; it stops
+growing at its s = 60 value, the largest s it was checked at, so a larger
+s fails (ConvergenceError or OverflowError) after bounded work.
 
 The module also adjudicates the radial measure index for the
 lowering-eigenstate family: the weight I_s(2r) K_nu(2r) resolves the
@@ -122,8 +124,11 @@ def _energies(params, count):
 
 
 def _series_budget(params):
-    """j_max for c_n at n <= 8, |z| <= 0.9: covers the stop index up to s = 60 by >= 12."""
-    return 64 + 3 * math.ceil(params.strength_sum)
+    """j_max for c_n at n <= 8, |z| <= 0.9: covers the stop index up to s = 60 by >= 12.
+
+    Capped at its s = 60 value, so a larger s fails after bounded work.
+    """
+    return min(64 + 3 * math.ceil(params.strength_sum), 244)
 
 
 def pi_table(params, n_max, j_max):

@@ -288,6 +288,14 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert all(row[3] == "true" for row in parse_csv(out)[2])
 
+    @pytest.mark.parametrize("kappa", ["1e6", "1e300"])
+    def test_series_checks_at_huge_strength_fail_promptly(self, capsys, kappa):
+        # the series budget is capped, so these end in a numeric failure
+        suite = "cn-triple-agreement,cn-ode"
+        code, out, err = run(capsys, "verify", "--kappa", kappa, "--kappap", "2", "--suite", suite)
+        assert code == EXIT_NUMERIC
+        assert out == "" and "numeric failure" in err
+
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", *BASE, "--suite", "bogus")
         assert code == EXIT_USAGE

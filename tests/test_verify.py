@@ -405,6 +405,15 @@ def test_series_checks_across_strengths(kappa, kappap):
     assert triple.details["j_max"] == ode.details["j_max"] == verify._series_budget(params)
 
 
+def test_series_budget_capped_above_validated_strengths():
+    # the budget stops growing past s = 60, so a larger s ends in
+    # ConvergenceError after bounded work rather than an unbounded table
+    assert verify._series_budget(PotentialParams(kappa=30.0, kappap=30.0)) == 244
+    assert verify._series_budget(PotentialParams(kappa=1e300, kappap=2.0)) == 244
+    with pytest.raises(ConvergenceError, match="j_max = 244"):
+        run_suite(PotentialParams(kappa=80.0, kappap=2.0), ["cn-triple-agreement"])
+
+
 class TestKPIdentity:
     def test_exact_beta_path(self):
         rep = kp_identity_check(P22, alpha=0.0)
