@@ -8,9 +8,10 @@ which the verification layer checks explicitly.
 
 The level functions energy, g_value and ladder_*_amplitude are the one
 definition of each level formula, and each accepts an integer level array.
-build_matrices assembles dense matrices from them for the oracles and for
-variance_pair.  Everything is immutable after construction and safe to
-share between threads.
+build_matrices assembles the tridiagonal ladder operators from them; each
+acts on a vector in O(dim), and only the oracles read their dense
+entries.  Everything is immutable after construction and safe to share
+between threads.
 """
 
 import math
@@ -99,21 +100,42 @@ class StateVector:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense operator on the truncated space, tagged with its role."""
+    """Tridiagonal operator on the truncated space, tagged with its role.
 
-    entries: np.ndarray
+    diag holds the entries (n, n); upper and lower, one shorter, hold
+    (n, n+1) and (n+1, n).  apply is the O(dim) product that production
+    paths use; entries builds the dense matrix anew on each access, for
+    the oracles and tests only.
+    """
+
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
     label: str
 
     def __post_init__(self):
-        e = np.ascontiguousarray(np.asarray(self.entries, dtype=complex))
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("operator must be a square matrix")
+        for name in ("diag", "upper", "lower"):
+            band = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=complex))
+            band.setflags(write=False)
+            object.__setattr__(self, name, band)
+        if self.diag.ndim != 1 or not self.upper.shape == self.lower.shape == (self.dim - 1,):
+            raise ValueError("operator needs a diagonal and two off-diagonals one shorter")
 
     @property
     def dim(self):
-        return self.entries.shape[0]
+        return self.diag.size
+
+    @property
+    def entries(self):
+        m = np.diag(self.diag)
+        m.flat[1 :: self.dim + 1], m.flat[self.dim :: self.dim + 1] = self.upper, self.lower
+        return m
+
+    def apply(self, vec):
+        out = self.diag * vec
+        out[:-1] += self.upper * vec[1:]
+        out[1:] += self.lower * vec[:-1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -167,7 +189,7 @@ def ladder_down_amplitude(params, n):
 
 
 def build_matrices(params, dim):
-    """Dense matrices for a-, a+, H, N, G, W, P at truncation dim.
+    """Band operators a-, a+, H, N, G, W, P at truncation dim.
 
     a+ is the exact conjugate transpose of a- by construction.  H, N, G
     are real diagonal.  Truncation corrupts only the last row/column of
@@ -177,34 +199,28 @@ def build_matrices(params, dim):
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     levels = np.arange(dim)
-    a_minus = np.diag(ladder_down_amplitude(params, levels[1:]), 1)
-    a_plus = a_minus.conj().T.copy()
-    h = np.diag(energy(params, levels)).astype(complex)
-    num = np.diag(levels).astype(complex)
-    g = np.diag(g_value(params, levels)).astype(complex)
-    w = (a_plus + a_minus) / math.sqrt(2.0)
-    p = 1j * (a_plus - a_minus) / math.sqrt(2.0)
+    d = ladder_down_amplitude(params, levels[1:])
+    r2, zero, off = math.sqrt(2.0), np.zeros(dim), np.zeros(dim - 1)
     return OperatorSet(
-        a_minus=OperatorMatrix(a_minus, "A_MINUS"),
-        a_plus=OperatorMatrix(a_plus, "A_PLUS"),
-        h=OperatorMatrix(h, "H"),
-        n=OperatorMatrix(num, "N"),
-        g=OperatorMatrix(g, "G"),
-        w=OperatorMatrix(w, "W"),
-        p=OperatorMatrix(p, "P"),
+        a_minus=OperatorMatrix(zero, d, off, "A_MINUS"),
+        a_plus=OperatorMatrix(zero, off, d.conj(), "A_PLUS"),
+        h=OperatorMatrix(energy(params, levels), off, off, "H"),
+        n=OperatorMatrix(levels, off, off, "N"),
+        g=OperatorMatrix(g_value(params, levels), off, off, "G"),
+        w=OperatorMatrix(zero, d / r2, d.conj() / r2, "W"),
+        p=OperatorMatrix(zero, 1j * -d / r2, 1j * d.conj() / r2, "P"),
         params=params,
     )
 
 
 def expectation(state, op):
-    """<state| op |state> for a normalized StateVector."""
-    mat = op.entries if isinstance(op, OperatorMatrix) else np.asarray(op)
-    if mat.shape[0] != state.dim:
-        raise ValueError(
-            f"dimension mismatch: state dim {state.dim}, operator dim {mat.shape[0]}"
-        )
+    """<state| op |state> for a normalized StateVector; op may also be a raw matrix."""
+    band = isinstance(op, OperatorMatrix)
+    dim = op.dim if band else np.shape(op)[0]
+    if dim != state.dim:
+        raise ValueError(f"dimension mismatch: state dim {state.dim}, operator dim {dim}")
     c = state.coeffs
-    return complex(np.vdot(c, mat @ c))
+    return complex(np.vdot(c, op.apply(c) if band else np.asarray(op) @ c))
 
 
 def variance_pair(state):
@@ -217,13 +233,13 @@ def variance_pair(state):
     """
     ops = build_matrices(state.params, state.dim)
     c = state.coeffs
-    w_c = ops.w.entries @ c
-    p_c = ops.p.entries @ c
+    w_c = ops.w.apply(c)
+    p_c = ops.p.apply(c)
     mean_w = np.vdot(c, w_c)
     mean_p = np.vdot(c, p_c)
     w2 = np.vdot(w_c, w_c)  # <W^2> via ||W psi||^2, exact Hermitian form
     p2 = np.vdot(p_c, p_c)
-    mean_g = np.vdot(c, ops.g.entries @ c)
+    mean_g = np.vdot(c, ops.g.apply(c))
     cross = np.vdot(w_c, p_c)  # <W P>
     mean_f = 2.0 * cross.real - 2.0 * mean_w.real * mean_p.real
     for val in (mean_w, mean_p, mean_g):

@@ -34,12 +34,16 @@ __all__ = [
 class ConvergenceError(ArithmeticError):
     """A series failed to converge within its term budget.
 
-    Carries the partial sum accumulated so far in ``partial_sum``.
+    Carries the partial sum accumulated so far in ``partial_sum``, the
+    number of terms summed (the leading one included) in ``terms_used`` and
+    the magnitude of the last of them in ``last_term``.
     """
 
-    def __init__(self, message, partial_sum):
+    def __init__(self, message, partial_sum, terms_used=None, last_term=None):
         super().__init__(message)
         self.partial_sum = partial_sum
+        self.terms_used = terms_used
+        self.last_term = last_term
 
 
 @dataclass(frozen=True)
@@ -224,7 +228,8 @@ def bessel_i(nu, x, control=DEFAULT_CONTROL):
         else:
             quiet = 0
     raise ConvergenceError(
-        f"I_{nu}({x}) did not converge in {control.max_terms} terms", total
+        f"I_{nu}({x}) did not converge in {control.max_terms} terms", total,
+        terms_used=control.max_terms + 1, last_term=term,
     )
 
 
@@ -302,7 +307,8 @@ def hyp0f1(b, x, control=DEFAULT_CONTROL):
         else:
             quiet = 0
     raise ConvergenceError(
-        f"0F1({b}; {x}) did not converge in {control.max_terms} terms", total
+        f"0F1({b}; {x}) did not converge in {control.max_terms} terms", total,
+        terms_used=control.max_terms + 1, last_term=term,
     )
 
 
@@ -371,4 +377,6 @@ def jacobi_fn_ss(l, m, n, x, control=DEFAULT_CONTROL):
         f"ss^{l}_({m},{n})(cosh 2*{x}) did not converge "
         f"in {control.max_terms} terms",
         pref * total,
+        terms_used=control.max_terms + 1,
+        last_term=abs(pref * term),
     )

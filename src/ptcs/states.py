@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 TAIL_WARN = 1e-10
+PHASE_ULP_MAX = 1e-6  # rad: coarser rounding of t e_n leaves only noise in the phase
 
 
 def _with_label_alpha(params, label):
@@ -112,7 +113,15 @@ class ISLabel:
 
 
 def _phases(params, t, dim):
-    """exp(-i t e_n) for n < dim: the label phase (t = alpha) and the evolution."""
+    """exp(-i t e_n) for n < dim: the label phase (t = alpha) and the evolution.
+
+    An ArithmeticError when one ulp of |t| e_{dim-1} exceeds PHASE_ULP_MAX.
+    """
+    if math.ulp(abs(t) * energy(params, dim - 1)) > PHASE_ULP_MAX:
+        raise ArithmeticError(
+            f"phase t e_n has lost its precision at t = {t}, level n = {dim - 1}: "
+            f"one ulp of t e_n exceeds {PHASE_ULP_MAX} rad"
+        )
     return np.exp(-1j * t * energy(params, np.arange(dim)))
 
 

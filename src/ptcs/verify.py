@@ -73,7 +73,9 @@ def taylor_expm_apply(matrix, vector, tol=1e-20, max_terms=600):
     terms vanish, the sum is squared j times and applied to the vector
     once (Moler & Van Loan, SIAM Rev. 45, 3 (2003), method 3).
     Deliberately the simplest provably-convergent scheme: this must stay
-    dumber than the closed forms it cross-checks.
+    dumber than the closed forms it cross-checks.  A sum or square that
+    leaves the float range is an ArithmeticError naming the 1-norm and the
+    squaring count.
     """
     m = np.asarray(matrix, dtype=complex)
     nrm = float(np.linalg.norm(m, 1))
@@ -81,18 +83,26 @@ def taylor_expm_apply(matrix, vector, tol=1e-20, max_terms=600):
     scaled = m / (2.0**j)
     acc = np.eye(m.shape[0], dtype=complex)
     term = acc.copy()
-    for k in range(1, max_terms + 1):
-        term = scaled @ term / k
-        acc += term
-        if np.linalg.norm(term) <= tol * np.linalg.norm(acc):
-            break
-    else:
-        raise ConvergenceError(
-            f"Taylor exponential did not converge in {max_terms} terms", acc
-        )
-    for _ in range(j):
-        acc = acc @ acc
-    return acc @ np.asarray(vector, dtype=complex)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(1, max_terms + 1):
+                term = scaled @ term / k
+                acc += term
+                if np.linalg.norm(term) <= tol * np.linalg.norm(acc):
+                    break
+            else:
+                raise ConvergenceError(
+                    f"Taylor exponential did not converge in {max_terms} terms", acc,
+                    terms_used=max_terms + 1, last_term=float(np.linalg.norm(term)),
+                )
+            for _ in range(j):
+                acc = acc @ acc
+            return acc @ np.asarray(vector, dtype=complex)
+    except FloatingPointError as exc:
+        raise ArithmeticError(
+            f"Taylor exponential left the float range ({exc}): "
+            f"generator 1-norm {nrm:.6g}, {j} squarings"
+        ) from exc
 
 
 def displacement_oracle(params, z, dim):
@@ -185,13 +195,14 @@ def cn_series(params, n, zmod, j_max, table=None):
     for j in range(j_max + 1):
         top = (-power if j % 2 else power) * table[(n + 1, j)]
         num += top
-        total = num / den
-        if abs(top / den) <= 1e-16 * max(abs(total), 1e-300):
+        total, last = num / den, abs(top / den)
+        if last <= 1e-16 * max(abs(total), 1e-300):
             return total
         step = q * q * s_den * (n + 2 * j + 1) * (n + 2 * j + 2)
         power, num, den = power * p * p, num * step, den * step
     raise ConvergenceError(
-        f"series for c_{n}({zmod}) still has significant terms at j_max = {j_max}", total
+        f"series for c_{n}({zmod}) still has significant terms at j_max = {j_max}", total,
+        terms_used=j_max + 1, last_term=last,
     )
 
 
@@ -303,7 +314,11 @@ def gk_moment_oracle(params, n, nu, radial_nodes=200):
     i = next((i for i, e in enumerate(excess) if e <= math.log(1e-18)), len(cands) - 1)
     t_max = cands[i]
     if excess[i] > math.log(1e-16):
-        raise ConvergenceError("radial tail still significant at cutoff", t_max)
+        # the cutoffs tried, and the integrand at the last one relative to its peak
+        raise ConvergenceError(
+            "radial tail still significant at cutoff", t_max, terms_used=len(cands),
+            last_term=math.exp(excess[i]) if excess[i] < 709.0 else math.inf,
+        )
     t, w = _gl_panels(0.0, t_max, radial_nodes)
     integral = float(np.sum(w * t ** (mu - 1.0) * bessel_k(nu, t)))
     log_ref = log_gamma(n + 1.0) + log_gamma(n + s + 1.0) + (2.0 * n + s) * math.log(2.0)
@@ -485,7 +500,7 @@ def _check_gk_action(params, dim=120):
     for zmod in (0.5, 1.5, 3.0):
         label = GKLabel(z=zmod, alpha=params.alpha)
         state = gk_coefficients(params, label, dim)
-        mean_h = np.vdot(state.coeffs, ops.h.entries @ state.coeffs).real
+        mean_h = np.vdot(state.coeffs, ops.h.apply(state.coeffs)).real
         worst = max(worst, abs(mean_h - zmod * zmod))
         resid_worst = max(resid_worst, gk_annihilation_residual(params, label, dim))
     # two gates: <H> - |z|^2 at 1e-8, eigen-residual at 1e-10; the reported

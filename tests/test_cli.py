@@ -146,6 +146,12 @@ class TestState:
         assert code == EXIT_NUMERIC
         assert out == "" and "no mass" in err and "kappa = 2.0" in err and "GKLabel" in err
 
+    @pytest.mark.parametrize("label", [["--zeta-re", "0.3"], ["--z-re", "0.3"]])
+    def test_alpha_past_phase_precision_is_numeric_failure(self, capsys, label):
+        code, out, err = run(capsys, "state", *BASE, *label, "--alpha", "1e300", "--dim", "4")
+        assert code == EXIT_NUMERIC
+        assert out == "" and "t = 1e+300" in err and "level n = 3" in err
+
     def test_conflicting_labels_rejected(self, capsys):
         code, _, err = run(
             capsys, "state", *BASE, "--zeta-re", "0.3", "--z-re", "0.5"
@@ -210,6 +216,16 @@ class TestWavefunction:
         )
         meta, _, _ = parse_csv(out)
         assert float(meta["autocorr_abs"]) == pytest.approx(1.0, abs=1e-8)
+
+    def test_time_past_phase_precision_is_numeric_failure(self, capsys):
+        code, out, err = run(capsys, "wavefunction", *BASE, "--z-re", "0.3", "--t", "1e300")
+        assert code == EXIT_NUMERIC
+        assert out == "" and "t = 1e+300" in err and "level n = 119" in err
+
+    def test_largest_benchmark_time_and_dim_still_run(self, capsys):
+        code, out, _ = run(capsys, "wavefunction", *BASE, "--z-re", "1.3", "--t", "2", "--dim", "4000")
+        assert code == EXIT_OK
+        assert parse_csv(out)[0]["t"] == "2"
 
 
 class TestUncertainty:
@@ -295,6 +311,13 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--kappa", kappa, "--kappap", "2", "--suite", suite)
         assert code == EXIT_NUMERIC
         assert out == "" and "numeric failure" in err
+
+    def test_full_suite_at_huge_strength_is_numeric_failure(self, capsys):
+        # the dense Taylor exponential leaves the float range while squaring;
+        # that is one named ArithmeticError, not a numpy warning
+        code, out, err = run(capsys, "verify", "--kappa", "1e300", "--kappap", "2")
+        assert code == EXIT_NUMERIC
+        assert out == "" and "numeric failure" in err and "squarings" in err
 
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", *BASE, "--suite", "bogus")

@@ -2,11 +2,14 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ptcs.cli import main
 from ptcs.operators import (
+    OperatorMatrix,
     PotentialParams,
     StateVector,
     build_matrices,
@@ -16,6 +19,15 @@ from ptcs.operators import (
     ladder_down_amplitude,
     ladder_up_amplitude,
     variance_pair,
+)
+from ptcs.states import (
+    GKLabel,
+    ISLabel,
+    KPLabel,
+    gk_coefficients,
+    is_coefficients,
+    is_minimization_report,
+    kp_coefficients,
 )
 
 P22 = PotentialParams(kappa=2.0, kappap=2.0)
@@ -248,3 +260,132 @@ class TestVariancePair:
             v = variance_pair(StateVector(c, P22A))
             resid = v["dW2"] * v["dP2"] - 0.25 * (v["meanG"] ** 2 + v["meanF"] ** 2)
             assert resid >= -1e-10
+
+
+OPERATORS = ("a_minus", "a_plus", "h", "n", "g", "w", "p")
+
+
+def dense_variance_pair(state):
+    """Reference: the four variance_pair values from the dense matrices."""
+    ops = build_matrices(state.params, state.dim)
+    c = state.coeffs
+    w_c, p_c = ops.w.entries @ c, ops.p.entries @ c
+    mean_w, mean_p = np.vdot(c, w_c).real, np.vdot(c, p_c).real
+    return {
+        "dW2": np.vdot(w_c, w_c).real - mean_w**2,
+        "dP2": np.vdot(p_c, p_c).real - mean_p**2,
+        "meanG": np.vdot(c, ops.g.entries @ c).real,
+        "meanF": 2.0 * np.vdot(w_c, p_c).real - 2.0 * mean_w * mean_p,
+    }
+
+
+def family_states(dim):
+    params = PotentialParams(kappa=2.3, kappap=1.8, alpha=0.4)
+    return [
+        gk_coefficients(params, GKLabel(z=1.5 + 0.7j, alpha=0.4), dim),
+        is_coefficients(params, ISLabel(z=1.2 - 0.4j, lam=0.6 + 0.3j, alpha=0.4), dim),
+        kp_coefficients(params, KPLabel(zeta=0.5 + 0.3j, alpha=0.4), dim),
+    ]
+
+
+class TestBandOperators:
+    @pytest.mark.parametrize("params", [P22, P22A, PASYM])
+    @pytest.mark.parametrize("dim", [2, 3, 40])
+    def test_apply_matches_dense_product(self, params, dim):
+        rng = np.random.default_rng(dim)
+        ops = build_matrices(params, dim)
+        c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for name in OPERATORS:
+            op = getattr(ops, name)
+            dense = op.entries @ c
+            # componentwise: relative to the sum of the moduli of the terms
+            scale = np.abs(op.entries) @ np.abs(c)
+            assert np.all(np.abs(op.apply(c) - dense) <= 1e-15 * scale), name
+
+    @pytest.mark.parametrize("params", [P22, P22A, PASYM])
+    def test_entries_equal_dense_construction(self, params):
+        # the dense matrices assembled from the amplitudes, as the bands define them
+        dim = 30
+        levels = np.arange(dim)
+        a_minus = np.diag(ladder_down_amplitude(params, levels[1:]), 1)
+        a_plus = a_minus.conj().T
+        ref = {
+            "a_minus": a_minus,
+            "a_plus": a_plus,
+            "h": np.diag(energy(params, levels)),
+            "n": np.diag(levels),
+            "g": np.diag(g_value(params, levels)),
+            "w": (a_plus + a_minus) / math.sqrt(2.0),
+            "p": 1j * (a_plus - a_minus) / math.sqrt(2.0),
+        }
+        ops = build_matrices(params, dim)
+        for name in OPERATORS:
+            entries = getattr(ops, name).entries
+            assert entries.dtype == complex and np.array_equal(entries, ref[name]), name
+
+    def test_bands_are_read_only_and_checked(self):
+        op = build_matrices(P22A, 5).w
+        for band in (op.diag, op.upper, op.lower):
+            assert not band.flags.writeable
+        assert op.dim == 5
+        with pytest.raises(ValueError, match="off-diagonals"):
+            OperatorMatrix(np.zeros(4), np.zeros(3), np.zeros(2), "BAD")
+
+    @pytest.mark.parametrize("params", [P22, P22A, PASYM])
+    def test_expectation_band_equals_dense(self, params):
+        rng = np.random.default_rng(7)
+        raw = rng.normal(size=40) + 1j * rng.normal(size=40)
+        st = StateVector(raw / np.linalg.norm(raw), params)
+        ops = build_matrices(params, 40)
+        for name in OPERATORS:
+            op = getattr(ops, name)
+            assert expectation(st, op) == pytest.approx(expectation(st, op.entries), rel=1e-14), name
+
+    @pytest.mark.parametrize("dim", [120, 1000])
+    def test_variance_pair_matches_dense_reference(self, dim):
+        for st in family_states(dim):
+            v, ref = variance_pair(st), dense_variance_pair(st)
+            for key, val in ref.items():
+                assert abs(v[key] - val) <= 1e-13 * max(abs(val), ref["meanG"]), key
+
+    def test_variance_pair_memory_linear_in_dim(self):
+        st = family_states(4000)[0]
+        tracemalloc.start()
+        try:
+            variance_pair(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6  # one dense complex 4000^2 matrix alone is 256 MB
+
+
+class TestNoDenseMatrixOnProductionPaths:
+    """Only oracles and tests may read OperatorMatrix.entries."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_entries(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"dense {self.label} built on a production path")
+
+        monkeypatch.setattr(OperatorMatrix, "entries", property(refuse))
+
+    def test_guard_is_active(self):
+        with pytest.raises(AssertionError, match="dense G"):
+            build_matrices(P22, 4).g.entries
+
+    def test_variance_pair_and_expectation(self):
+        for st in family_states(300):
+            variance_pair(st)
+            expectation(st, build_matrices(st.params, st.dim).g)
+
+    def test_is_minimization_report(self):
+        label = ISLabel(z=0.8 + 0.2j, lam=0.7 + 0.1j, alpha=0.2)
+        assert is_minimization_report(PASYM, label, 200).passed
+
+    @pytest.mark.parametrize(
+        "label", [["--z-re", "1.5"], ["--zeta-re", "0.4"], ["--z-re", "1", "--lambda-re", "0.7"]]
+    )
+    def test_uncertainty_command(self, capsys, label):
+        argv = ["uncertainty", "--kappa", "2", "--kappap", "2.5", *label, "--dim", "500"]
+        assert main(argv) == 0
+        assert "dW2" in capsys.readouterr().out

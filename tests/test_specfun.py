@@ -391,3 +391,27 @@ class TestJacobiFnSS:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             jacobi_fn_ss(-2.5, 2.5, 2.5, -0.1)
+
+
+class TestConvergenceErrorBudget:
+    """Each raise site reports the terms it summed and the size of the last one."""
+
+    def test_bessel_i(self):
+        # terms 1, 225, 225^2/4, 225^3/36 of I_0(30): all exact in binary
+        with pytest.raises(ConvergenceError) as err:
+            bessel_i(0.0, 30.0, SeriesControl(max_terms=3))
+        assert err.value.terms_used == 4
+        assert err.value.last_term == 316406.25
+        assert err.value.partial_sum == 1.0 + 225.0 + 12656.25 + 316406.25
+
+    def test_hyp0f1(self):
+        with pytest.raises(ConvergenceError) as err:
+            hyp0f1(1.0, 100.0, SeriesControl(max_terms=3))
+        assert err.value.terms_used == 4
+        assert err.value.last_term == pytest.approx(100.0**3 / 36.0, rel=1e-15)
+
+    def test_jacobi_fn_ss(self):
+        with pytest.raises(ConvergenceError) as err:
+            jacobi_fn_ss(-2.3, 2.0, 3.0, 1.4, SeriesControl(max_terms=4))
+        assert err.value.terms_used == 5
+        assert err.value.last_term > 1e-15 * abs(err.value.partial_sum) > 0.0

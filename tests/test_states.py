@@ -160,6 +160,25 @@ class TestEvolution:
         assert float(np.max(np.abs(partway.coeffs - st.coeffs))) > 1e-2
 
 
+class TestPhasePrecision:
+    # one ulp of t e_n passes 1e-6 rad at t e_n = 2^33; e_1 = 5 at s = 4
+    def test_limit_at_two_to_the_33(self):
+        st = StateVector(np.array([0.6, 0.8]), P22)
+        evolve_coefficients(st, math.nextafter(2.0**33, 0.0) / 5.0)
+        with pytest.raises(ArithmeticError, match=r"level n = 1"):
+            evolve_coefficients(st, 2.0**33 / 5.0)
+
+    @pytest.mark.parametrize("dim", [2, 40])
+    def test_label_phase_refused_past_limit(self, dim):
+        with pytest.raises(ArithmeticError, match=rf"t = 1e\+300, level n = {dim - 1}"):
+            kp_coefficients(P22, KPLabel(zeta=0.3, alpha=1e300), dim)
+
+    def test_ground_level_alone_has_no_phase_to_lose(self):
+        # e_0 = 0, so a one-level state carries no phase at any t
+        st = kp_coefficients(P22, KPLabel(zeta=0.3, alpha=1e300), 1)
+        assert st.coeffs[0] == kp_coefficients(P22, KPLabel(zeta=0.3), 1).coeffs[0]
+
+
 class TestGKCoefficients:
     def test_origin_gives_ground_state(self):
         st = gk_coefficients(P22, GKLabel(z=0.0), 10)

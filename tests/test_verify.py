@@ -146,6 +146,39 @@ class TestTaylorExpmApply:
         assert float(np.max(np.abs(taylor_expm_apply(gen, e0) - ref))) <= 1e-13
 
 
+class TestOracleFailures:
+    """Budget attributes at each oracle raise site, and the float-range guard."""
+
+    def test_taylor_budget(self):
+        gen = 0.9 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(ConvergenceError) as err:
+            taylor_expm_apply(gen, np.array([1.0, 0.0]), max_terms=3)
+        assert err.value.terms_used == 4
+        # gen^3 / 3! = -0.9^3 J / 6, whose Frobenius norm is 0.9^3 sqrt(2) / 6
+        assert err.value.last_term == pytest.approx(0.9**3 * math.sqrt(2.0) / 6.0, rel=1e-14)
+
+    def test_cn_series_budget(self):
+        with pytest.raises(ConvergenceError) as err:
+            cn_series(P22, 4, 0.9, 4)
+        assert err.value.terms_used == 5
+        last = pi_table(P22, 4, 4)[(5, 4)] * 0.9**8 / math.factorial(12)
+        assert err.value.last_term == pytest.approx(last, rel=1e-14)
+
+    def test_gk_moment_budget(self):
+        # mu = 1096: cutoffs 1126, 1146, ..., 1206 all leave the tail significant
+        with pytest.raises(ConvergenceError) as err:
+            gk_moment_oracle(P22, 545, 4.0)
+        assert err.value.terms_used == 5
+        assert err.value.partial_sum == 1206.0
+        assert err.value.last_term > 1e-16
+
+    def test_overflowing_squaring_is_named_arithmetic_error(self):
+        params = PotentialParams(kappa=1e300, kappap=2.0)
+        with pytest.raises(ArithmeticError, match=r"1-norm 4\.354\d*e\+150, 501 squarings") as err:
+            displacement_oracle(params, 0.2, 120)
+        assert type(err.value) is ArithmeticError
+
+
 class TestDisplacementOracle:
     def test_zero_is_identity(self):
         st = displacement_oracle(P22, 0.0, 60)
