@@ -15,7 +15,7 @@ between threads.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,9 @@ __all__ = [
     "expectation",
     "variance_pair",
 ]
+
+TAIL_WARN = 1e-10  # truncated mass past which a state reports under_truncated
+PHASE_ULP_MAX = 1e-6  # rad: coarser rounding of a phase leaves only noise in it
 
 
 @dataclass(frozen=True)
@@ -70,15 +73,14 @@ class StateVector:
     """Truncated eigenbasis expansion sum_n c_n |psi_n>.
 
     tail_bound is a rigorous (or, for recursion-built states, estimated)
-    upper bound on the probability mass lost to truncation; constructors
-    set under_truncated when it exceeds 1e-10 so downstream checks can
-    refuse or flag the state.
+    upper bound on the probability mass lost to truncation;
+    under_truncated is derived from it (tail_bound > TAIL_WARN) so
+    downstream checks can refuse or flag the state.
     """
 
     coeffs: np.ndarray
     params: PotentialParams
     tail_bound: float = 0.0
-    under_truncated: bool = field(default=False)
 
     def __post_init__(self):
         c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=complex))
@@ -92,6 +94,10 @@ class StateVector:
     @property
     def dim(self):
         return self.coeffs.size
+
+    @property
+    def under_truncated(self):
+        return self.tail_bound > TAIL_WARN
 
     def norm_deficit(self):
         """| sum |c_n|^2 - 1 |, zero for a perfectly normalized state."""
@@ -174,17 +180,27 @@ def g_value(params, n):
     return 2.0 * _levels(n) + params.strength_sum + 1.0
 
 
+def _check_phase(size, t, level, name="t", what="t e_n"):
+    """Refuse a phase whose largest magnitude, size (at level), has an ulp over PHASE_ULP_MAX."""
+    if math.ulp(size) > PHASE_ULP_MAX:
+        raise ArithmeticError(f"phase {what} has lost its precision at {name} = {t}, "
+                              f"level n = {level}: one ulp of {what} exceeds {PHASE_ULP_MAX} rad")
+
+
 def ladder_up_amplitude(params, n):
-    """Coefficient of |psi_{n+1}> in a+ |psi_n>; n may be a level array."""
-    n = _levels(n)
-    phase = params.alpha * (2.0 * n + 1.0 + params.strength_sum)
-    return np.sqrt(energy(params, n + 1.0)) * np.exp(-1j * phase)
+    """Coefficient of |psi_{n+1}> in a+ |psi_n>, the adjoint of a-; n may be a level array."""
+    return np.conj(ladder_down_amplitude(params, _levels(n) + 1.0))
 
 
 def ladder_down_amplitude(params, n):
-    """Coefficient of |psi_{n-1}> in a- |psi_n>, 0 at n = 0; n may be a level array."""
+    """Coefficient of |psi_{n-1}> in a- |psi_n>, 0 at n = 0; n may be a level array.
+
+    An ArithmeticError naming alpha once the phase alpha(2n - 1 + s) has lost its precision.
+    """
     n = _levels(n)
     phase = params.alpha * (2.0 * n - 1.0 + params.strength_sum)
+    _check_phase(np.max(np.abs(phase), initial=0.0), params.alpha, int(np.max(n, initial=0.0)),
+                 "alpha", "alpha(2n - 1 + s)")
     return np.sqrt(energy(params, n)) * np.exp(1j * phase)
 
 

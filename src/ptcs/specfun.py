@@ -7,7 +7,8 @@ family that appears in quasi-unitary group representation theory.
 
 No third-party special-function library is used; each routine is plain
 series/recurrence/quadrature arithmetic so the test suite can check it
-against slow independent oracles.
+against slow independent oracles.  bessel_i, hyp0f1 and jacobi_fn_ss
+give a first term and a term ratio to one series kernel and its stop rule.
 
 All functions are pure and hold no global mutable state.
 """
@@ -51,13 +52,13 @@ class SeriesControl:
     """Truncation policy for infinite series.
 
     A series is stopped once ``|term| <= rel_tol * |partial sum|`` held for
-    three consecutive terms (guards against terms that are accidentally
-    zero), or fails with :class:`ConvergenceError` after ``max_terms``.
+    three consecutive terms after the first (guards against terms that are
+    accidentally zero; a partial sum below 1e-300 counts as 1e-300), or
+    fails with :class:`ConvergenceError` after ``max_terms`` more terms.
     """
 
     max_terms: int = 400
     rel_tol: float = 1e-15
-    underflow_guard: float = 1e-300
 
     def __post_init__(self):
         if self.max_terms < 1:
@@ -67,6 +68,7 @@ class SeriesControl:
 
 
 DEFAULT_CONTROL = SeriesControl()
+_UNDERFLOW_GUARD = 1e-300  # floor of |partial sum| in the stop rule
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 _LANCZOS_G = 607.0 / 128.0
@@ -201,6 +203,25 @@ def jacobi_poly_all(nmax, alpha, beta, u):
     return out
 
 
+def _series(first, ratio, control, name, scale=1.0):
+    """scale * sum_k t_k, t_0 = first, t_k = t_{k-1} ratio(k), under the SeriesControl stop rule."""
+    term = total = first
+    quiet = 0
+    for k in range(1, control.max_terms + 1):
+        term *= ratio(k)
+        total += term
+        if abs(term) <= control.rel_tol * max(abs(total), _UNDERFLOW_GUARD):
+            quiet += 1
+            if quiet >= 3:
+                return scale * total
+        else:
+            quiet = 0
+    raise ConvergenceError(
+        f"{name} did not converge in {control.max_terms} terms", scale * total,
+        terms_used=control.max_terms + 1, last_term=abs(scale * term),
+    )
+
+
 def bessel_i(nu, x, control=DEFAULT_CONTROL):
     """Modified Bessel function I_nu(x), ascending series.
 
@@ -215,22 +236,8 @@ def bessel_i(nu, x, control=DEFAULT_CONTROL):
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     half = 0.5 * x
-    term = math.exp(nu * math.log(half) - log_gamma(nu + 1.0))
-    total = term
-    quiet = 0
-    for k in range(1, control.max_terms + 1):
-        term *= half * half / (k * (nu + k))
-        total += term
-        if term <= control.rel_tol * max(total, control.underflow_guard):
-            quiet += 1
-            if quiet >= 3:
-                return total
-        else:
-            quiet = 0
-    raise ConvergenceError(
-        f"I_{nu}({x}) did not converge in {control.max_terms} terms", total,
-        terms_used=control.max_terms + 1, last_term=term,
-    )
+    first = math.exp(nu * math.log(half) - log_gamma(nu + 1.0))
+    return _series(first, lambda k: half * half / (k * (nu + k)), control, f"I_{nu}({x})")
 
 
 _GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -294,22 +301,7 @@ def hyp0f1(b, x, control=DEFAULT_CONTROL):
         raise ValueError(f"parameter must be > 0, got {b}")
     if x < 0.0:
         raise ValueError(f"argument must be >= 0, got {x}")
-    term = 1.0
-    total = 1.0
-    quiet = 0
-    for k in range(1, control.max_terms + 1):
-        term *= x / (k * (b + k - 1.0))
-        total += term
-        if term <= control.rel_tol * max(total, control.underflow_guard):
-            quiet += 1
-            if quiet >= 3:
-                return total
-        else:
-            quiet = 0
-    raise ConvergenceError(
-        f"0F1({b}; {x}) did not converge in {control.max_terms} terms", total,
-        terms_used=control.max_terms + 1, last_term=term,
-    )
+    return _series(1.0, lambda k: x / (k * (b + k - 1.0)), control, f"0F1({b}; {x})")
 
 
 def jacobi_fn_ss(l, m, n, x, control=DEFAULT_CONTROL):
@@ -345,38 +337,19 @@ def jacobi_fn_ss(l, m, n, x, control=DEFAULT_CONTROL):
     ratio0 = 1.0
     for j in range(1, sig0 + 1):
         ratio0 *= l - n + 1.0 - j
-    term = (
+    first = (
         th ** (n - m + 2.0 * sig0)
         * ratio0
         * _inv_gamma(n - m + sig0 + 1.0)
         * _inv_gamma(l + m + 1.0 - sig0)
         * math.exp(-log_gamma(sig0 + 1.0))
     )
-    total = term
-    quiet = 0
-    for sig in range(sig0, sig0 + control.max_terms):
-        scale = max(abs(total), control.underflow_guard)
-        if abs(term) <= control.rel_tol * scale:
-            quiet += 1
-            if quiet >= 3:
-                return pref * total
-        else:
-            quiet = 0
-        # one multiplicative step keeps every factor O(sig): the Gamma
-        # ratio, both reciprocal Gammas (a descending argument crossing a
-        # pole pins the term at exactly zero from then on) and the
-        # factorial all advance together
-        term *= (
-            th2
-            * (l - n - sig)
-            * (l + m - sig)
-            / ((n - m + sig + 1.0) * (sig + 1.0))
-        )
-        total += term
-    raise ConvergenceError(
-        f"ss^{l}_({m},{n})(cosh 2*{x}) did not converge "
-        f"in {control.max_terms} terms",
-        pref * total,
-        terms_used=control.max_terms + 1,
-        last_term=abs(pref * term),
-    )
+
+    def ratio(k):
+        # one multiplicative step keeps every factor O(sig): the Gamma ratio, both
+        # reciprocal Gammas (a descending argument crossing a pole pins the term at
+        # exactly zero from then on) and the factorial all advance together
+        sig = sig0 + k - 1
+        return th2 * (l - n - sig) * (l + m - sig) / ((n - m + sig + 1.0) * (sig + 1.0))
+
+    return _series(first, ratio, control, f"ss^{l}_({m},{n})(cosh 2*{x})", scale=pref)

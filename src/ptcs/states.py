@@ -25,10 +25,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import (
+    TAIL_WARN,  # re-exported: the threshold of StateVector.under_truncated
     StateVector,
+    _check_phase,
     energy,
     ladder_down_amplitude,
-    ladder_up_amplitude,
     variance_pair,
 )
 from .report import VerifyReport
@@ -50,9 +51,6 @@ __all__ = [
     "is_minimization_report",
     "analytic_repr",
 ]
-
-TAIL_WARN = 1e-10
-PHASE_ULP_MAX = 1e-6  # rad: coarser rounding of t e_n leaves only noise in the phase
 
 
 def _with_label_alpha(params, label):
@@ -117,11 +115,7 @@ def _phases(params, t, dim):
 
     An ArithmeticError when one ulp of |t| e_{dim-1} exceeds PHASE_ULP_MAX.
     """
-    if math.ulp(abs(t) * energy(params, dim - 1)) > PHASE_ULP_MAX:
-        raise ArithmeticError(
-            f"phase t e_n has lost its precision at t = {t}, level n = {dim - 1}: "
-            f"one ulp of t e_n exceeds {PHASE_ULP_MAX} rad"
-        )
+    _check_phase(abs(t) * energy(params, dim - 1), t, dim - 1)
     return np.exp(-1j * t * energy(params, np.arange(dim)))
 
 
@@ -131,8 +125,13 @@ def _numeric_failure(params, label, finite):
     return ArithmeticError(f"{why} at kappa = {params.kappa}, kappa' = {params.kappap}, label {label}")
 
 
+def _geometric_tail(first, q):
+    """first / (1 - q), the tail majorant when terms shrink by q or more; inf unless q < 1."""
+    return first / (1.0 - q) if q < 1.0 else math.inf
+
+
 def _finish(params, label, coeffs, tail):
-    """Closing step of every constructor: the state, flagged past TAIL_WARN.
+    """Closing step of every constructor: the state with its tail bound.
 
     Coefficients that are not finite, or all zero (an overflow upstream),
     are an ArithmeticError naming the parameters and the label.
@@ -140,12 +139,7 @@ def _finish(params, label, coeffs, tail):
     finite = np.all(np.isfinite(coeffs))
     if not (finite and np.any(coeffs)):
         raise _numeric_failure(params, label, finite)
-    return StateVector(
-        coeffs,
-        _with_label_alpha(params, label),
-        tail_bound=tail,
-        under_truncated=tail > TAIL_WARN,
-    )
+    return StateVector(coeffs, _with_label_alpha(params, label), tail_bound=tail)
 
 
 def kp_coefficients(params, label, dim):
@@ -169,9 +163,8 @@ def kp_coefficients(params, label, dim):
         zpow = zeta ** np.arange(dim)
         coeffs = pref * zpow * np.sqrt(binom[:-1]) * _phases(params, label.alpha, dim)
     # tail: sum_{n>=dim} rho2^n C(n+s,n), term ratio <= q below
-    term = pref * pref * rho2**dim * float(binom[-1])
     q = rho2 * (dim + 1.0 + s) / (dim + 1.0)
-    tail = term / (1.0 - q) if q < 1.0 else math.inf
+    tail = _geometric_tail(pref * pref * rho2**dim * float(binom[-1]), q)
     return _finish(params, label, coeffs, tail)
 
 
@@ -220,12 +213,8 @@ def evolve_coefficients(state, t):
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    return StateVector(
-        state.coeffs * _phases(state.params, t, state.dim),
-        replace(state.params, alpha=state.params.alpha + t),
-        tail_bound=state.tail_bound,
-        under_truncated=state.under_truncated,
-    )
+    evolved = replace(state.params, alpha=state.params.alpha + t)
+    return replace(state, coeffs=state.coeffs * _phases(state.params, t, state.dim), params=evolved)
 
 
 def gk_coefficients(params, label, dim):
@@ -255,10 +244,9 @@ def gk_coefficients(params, label, dim):
     mags = np.exp(log_norm + n * math.log(r) - log_den)
     zphase = (z / r) ** np.arange(dim)
     coeffs = mags * zphase * _phases(params, label.alpha, dim)
-    # ratio-test majorant: successive |c_n|^2 shrink at least by q
-    q = r * r / energy(params, dim + 1)
-    tail = (mags[-1] ** 2) * (r * r / energy(params, dim)) / (1.0 - q) if q < 1.0 else math.inf
-    return _finish(params, label, coeffs, tail)
+    # ratio-test majorant: successive |c_n|^2 shrink at least by |z|^2 / e_{dim+1}
+    first = (mags[-1] ** 2) * (r * r / energy(params, dim))
+    return _finish(params, label, coeffs, _geometric_tail(first, r * r / energy(params, dim + 1)))
 
 
 def gk_annihilation_residual(params, label, dim):
@@ -314,9 +302,8 @@ def is_coefficients(params, label, dim):
         raise ArithmeticError(f"recursion diverged: Re(lambda) < 0 at lambda = {lam}")
     z = complex(label.z)
     state_params = _with_label_alpha(params, label)
-    levels = np.arange(dim)
-    up = ladder_up_amplitude(state_params, levels[:-1])  # u_n
-    down = ladder_down_amplitude(state_params, levels[1:])  # d_{n+1}
+    down = ladder_down_amplitude(state_params, np.arange(1, dim))  # d_{n+1}
+    up = down.conj()  # u_n, since a+ is the adjoint of a-
     c = np.zeros(dim, dtype=complex)
     c[0] = 1.0
     for n in range(dim - 1):
@@ -335,7 +322,7 @@ def is_coefficients(params, label, dim):
     tail = math.inf
     if abs(c[-2]) > 0:
         ratio = (abs(c[-1]) / abs(c[-2])) ** 2
-        tail = abs(c[-1]) ** 2 * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+        tail = _geometric_tail(abs(c[-1]) ** 2 * ratio, ratio)
     elif abs(c[-1]) == 0.0:
         tail = 0.0
     return _finish(params, label, c, tail)

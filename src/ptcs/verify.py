@@ -124,7 +124,7 @@ def displacement_oracle(params, z, dim):
     e0[0] = 1.0
     v = taylor_expm_apply(generator, e0)
     sentinel = float(abs(v[-1]) ** 2 + abs(np.vdot(v, v).real - 1.0))
-    return StateVector(v, params, tail_bound=sentinel, under_truncated=sentinel > 1e-10)
+    return StateVector(v, params, tail_bound=sentinel)
 
 
 def _energies(params, count):
@@ -293,7 +293,8 @@ def gk_moment_oracle(params, n, nu, radial_nodes=200):
     Evaluates 4 int_0^inf r^(2n+s+1) K_nu(2r) dr / (n! Gamma(n+s+1)) by
     composite quadrature with the tail truncated where the integrand has
     decayed below 1e-18 of its peak.  The measure resolves the identity
-    at level n exactly when this ratio is 1.
+    at level n exactly when this ratio is 1.  Integrated in the linear domain, it
+    leaves the float range at high n (70 at s = 4): an ArithmeticError naming n, nu, s.
     """
     if nu <= 0.0:
         raise ValueError(f"nu must be > 0, got {nu}")
@@ -320,9 +321,13 @@ def gk_moment_oracle(params, n, nu, radial_nodes=200):
             last_term=math.exp(excess[i]) if excess[i] < 709.0 else math.inf,
         )
     t, w = _gl_panels(0.0, t_max, radial_nodes)
-    integral = float(np.sum(w * t ** (mu - 1.0) * bessel_k(nu, t)))
     log_ref = log_gamma(n + 1.0) + log_gamma(n + s + 1.0) + (2.0 * n + s) * math.log(2.0)
-    return integral / math.exp(log_ref)
+    try:
+        with np.errstate(over="raise"):
+            return float(np.sum(w * t ** (mu - 1.0) * bessel_k(nu, t))) / math.exp(log_ref)
+    except (FloatingPointError, OverflowError) as exc:
+        msg = f"radial moment left the float range ({exc}) at n = {n}, nu = {nu}, s = {s}"
+        raise ArithmeticError(msg) from exc
 
 
 def _moment_memo(params, radial_nodes=200):

@@ -1,0 +1,62 @@
+"""The benchmark's call contract, checked on one operation per in-process workload.
+
+perfbench declares, per workload, which public functions an operation
+must call and which it must not.  Its traced run checks that contract,
+but only after a long run; this test runs one ``verify-suite`` operation
+and one ``states-dim120`` block (all three families) under perfbench's
+own span tracer, reading ``perfbench/workloads.py`` and
+``perfbench/tracer.py`` as they are.
+"""
+
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+import ptcs
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    import tracer
+    import workloads
+
+    return workloads, tracer
+
+
+def traced_calls(wl, tracer_module, inputs):
+    """Function name -> call count over the traced operations."""
+    tracer = tracer_module.Tracer()
+    calls = {}
+    tracer.install()
+    try:
+        for inp in inputs:
+            _, profiles = wl.traced_op(inp, tracer)
+            for profile in profiles:
+                for name, (count, _, _) in profile.by_name.items():
+                    calls[name] = calls.get(name, 0) + count
+    finally:
+        tracer.uninstall()
+    return calls
+
+
+@pytest.mark.parametrize("name, count", [("verify-suite", 1), ("states-dim120", 6)])
+def test_workload_call_contract(bench, name, count):
+    workloads, tracer_module = bench
+    wl = workloads.make(name, PERFBENCH.parent, 601, ptcs, dict(os.environ))
+    wl.prepare()
+    inputs = [wl.input(i) for i in range(count)]
+    if name == "states-dim120":
+        assert {inp.family for inp in inputs} == {"kp", "gk", "is"}
+    calls = traced_calls(wl, tracer_module, inputs)
+    missing = [f for f in wl.must_call if not calls.get(f)]
+    forbidden = [f for f in wl.must_not_call if calls.get(f)]
+    assert not missing, f"{name} never called {missing}"
+    assert not forbidden, f"{name} called {forbidden}"
+    # the wrappers are gone again: the package's functions are the originals
+    assert not hasattr(ptcs.operators.variance_pair, "__wrapped__")

@@ -497,3 +497,15 @@ class TestDocumentedExamples:
     def test_example_exits_zero(self, capsys, line):
         code, out, _ = run(capsys, *shlex.split(line))
         assert code == EXIT_OK and out
+
+
+class TestLadderPhasePrecision:
+    """The minimum-uncertainty family takes its phases from the ladder amplitudes only."""
+
+    @pytest.mark.parametrize("command", ["state", "uncertainty"])
+    def test_alpha_past_ladder_phase_precision_is_numeric_failure(self, capsys, command):
+        code, out, err = run(
+            capsys, command, *BASE, "--z-re", "0.3", "--lambda-re", "1", "--alpha", "1e300", "--dim", "4"
+        )
+        assert code == EXIT_NUMERIC
+        assert out == "" and "alpha = 1e+300" in err and "level n = 3" in err

@@ -1,0 +1,341 @@
+"""One definition per repeated rule, pinned against the code it replaced.
+
+The three convergent series share one kernel and its stop rule, a+ is
+read off a- as its adjoint, the truncation flag is derived from the tail
+bound, and the three constructors share one geometric tail majorant.
+Each test below compares the shared definition with a copy of the
+per-site code it replaced, bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ptcs import operators, states
+from ptcs.operators import (
+    PHASE_ULP_MAX,
+    TAIL_WARN,
+    PotentialParams,
+    StateVector,
+    energy,
+    ladder_down_amplitude,
+    ladder_up_amplitude,
+)
+from ptcs.specfun import (
+    ConvergenceError,
+    SeriesControl,
+    _gamma_signed,
+    _inv_gamma,
+    bessel_i,
+    hyp0f1,
+    jacobi_fn_ss,
+    log_gamma,
+)
+from ptcs.states import GKLabel, ISLabel, KPLabel, gk_coefficients, is_coefficients, kp_coefficients
+
+P22 = PotentialParams(kappa=2.0, kappap=2.0)
+PASYM = PotentialParams(kappa=1.5, kappap=2.5, alpha=0.1)
+UNDERFLOW_GUARD = 1e-300  # the old SeriesControl.underflow_guard default
+
+
+# ---------------------------------------------------------------------------
+# the three series loops as they were before the shared kernel
+# ---------------------------------------------------------------------------
+
+
+def bessel_i_loop(nu, x, control=SeriesControl()):
+    if x == 0.0:
+        return 1.0 if nu == 0.0 else 0.0
+    half = 0.5 * x
+    term = math.exp(nu * math.log(half) - log_gamma(nu + 1.0))
+    total = term
+    quiet = 0
+    for k in range(1, control.max_terms + 1):
+        term *= half * half / (k * (nu + k))
+        total += term
+        if term <= control.rel_tol * max(total, UNDERFLOW_GUARD):
+            quiet += 1
+            if quiet >= 3:
+                return total
+        else:
+            quiet = 0
+    raise ConvergenceError(
+        f"I_{nu}({x}) did not converge in {control.max_terms} terms", total,
+        terms_used=control.max_terms + 1, last_term=term,
+    )
+
+
+def hyp0f1_loop(b, x, control=SeriesControl()):
+    term = 1.0
+    total = 1.0
+    quiet = 0
+    for k in range(1, control.max_terms + 1):
+        term *= x / (k * (b + k - 1.0))
+        total += term
+        if term <= control.rel_tol * max(total, UNDERFLOW_GUARD):
+            quiet += 1
+            if quiet >= 3:
+                return total
+        else:
+            quiet = 0
+    raise ConvergenceError(
+        f"0F1({b}; {x}) did not converge in {control.max_terms} terms", total,
+        terms_used=control.max_terms + 1, last_term=term,
+    )
+
+
+def jacobi_fn_ss_loop(l, m, n, x, control=SeriesControl()):
+    diff = m - n
+    pref = _gamma_signed(l + n + 1.0) * math.cosh(x) ** (2.0 * l)
+    th = math.tanh(x)
+    th2 = th * th
+    sig0 = max(0, int(round(diff)))
+    ratio0 = 1.0
+    for j in range(1, sig0 + 1):
+        ratio0 *= l - n + 1.0 - j
+    term = (
+        th ** (n - m + 2.0 * sig0)
+        * ratio0
+        * _inv_gamma(n - m + sig0 + 1.0)
+        * _inv_gamma(l + m + 1.0 - sig0)
+        * math.exp(-log_gamma(sig0 + 1.0))
+    )
+    total = term
+    quiet = 0
+    for sig in range(sig0, sig0 + control.max_terms):
+        scale = max(abs(total), UNDERFLOW_GUARD)
+        if abs(term) <= control.rel_tol * scale:
+            quiet += 1
+            if quiet >= 3:
+                return pref * total
+        else:
+            quiet = 0
+        term *= th2 * (l - n - sig) * (l + m - sig) / ((n - m + sig + 1.0) * (sig + 1.0))
+        total += term
+    raise ConvergenceError(
+        f"ss^{l}_({m},{n})(cosh 2*{x}) did not converge in {control.max_terms} terms",
+        pref * total,
+        terms_used=control.max_terms + 1,
+        last_term=abs(pref * term),
+    )
+
+
+def outcome(fn, *args):
+    """The value's bits, or every field of the ConvergenceError."""
+    try:
+        return ("value", float(fn(*args)).hex())
+    except ConvergenceError as err:
+        return ("error", str(err), float(err.partial_sum).hex(), err.terms_used,
+                float(err.last_term).hex())
+
+
+BUDGETS = (3, 5, 10, 20, 400)
+
+
+def series_grid(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield SeriesControl(max_terms=int(rng.choice(BUDGETS))), rng
+
+
+class TestSeriesKernel:
+    def test_bessel_i_equals_old_loop(self):
+        for ctl, rng in series_grid(101, 1500):
+            nu, x = float(rng.uniform(0.0, 12.0)), float(rng.uniform(0.0, 120.0))
+            assert outcome(bessel_i, nu, x, ctl) == outcome(bessel_i_loop, nu, x, ctl)
+
+    def test_hyp0f1_equals_old_loop(self):
+        for ctl, rng in series_grid(102, 1500):
+            b, x = float(rng.uniform(0.01, 12.0)), float(rng.uniform(0.0, 400.0))
+            assert outcome(hyp0f1, b, x, ctl) == outcome(hyp0f1_loop, b, x, ctl)
+
+    @pytest.mark.parametrize("family", ["generic", "cn"])
+    def test_jacobi_fn_ss_equals_old_loop(self, family):
+        """Equal bits everywhere except one boundary, checked for what it is.
+
+        The old loop tested terms 0 .. max_terms - 1 and never its last
+        term; the kernel tests terms 1 .. max_terms.  So a series whose
+        third quiet term is exactly term max_terms now returns the partial
+        sum that the old loop put into its ConvergenceError.
+        """
+        moved = 0
+        for ctl, rng in series_grid(103 if family == "generic" else 104, 1500):
+            if family == "generic":
+                l, n, d = float(rng.uniform(-6, 6)), float(rng.uniform(-3, 8)), int(rng.integers(-4, 5))
+                args = (l, n + d, n, float(rng.uniform(0.0, 3.0)), ctl)
+            else:
+                half = (float(rng.uniform(2.2, 12.0)) + 1.0) / 2.0
+                args = (-half, half, int(rng.integers(0, 12)) + half, float(rng.uniform(0.0, 2.0)), ctl)
+            new, old = outcome(jacobi_fn_ss, *args), outcome(jacobi_fn_ss_loop, *args)
+            if new == old:
+                continue
+            moved += 1
+            assert old[0] == "error" and new == ("value", old[2])
+            shorter = SeriesControl(max_terms=ctl.max_terms - 1)
+            assert outcome(jacobi_fn_ss, *args[:-1], shorter)[0] == "error"
+        assert moved  # the grid reaches the boundary (10 generic, 284 c_n-family cases)
+
+    def test_jacobi_fn_ss_last_term_boundary(self):
+        # the third quiet term of this generic-index series is term m
+        args = (-2.3, 2.0, 3.0, 1.4)
+        m = next(m for m in range(1, 401)
+                 if outcome(jacobi_fn_ss, *args, SeriesControl(max_terms=m))[0] == "value")
+        value = jacobi_fn_ss(*args, SeriesControl(max_terms=m))
+        with pytest.raises(ConvergenceError) as err:
+            jacobi_fn_ss_loop(*args, SeriesControl(max_terms=m))
+        assert err.value.partial_sum.hex() == value.hex() == jacobi_fn_ss(*args).hex()
+        with pytest.raises(ConvergenceError):
+            jacobi_fn_ss(*args, SeriesControl(max_terms=m - 1))
+
+    def test_terminating_series_returns_at_three_terms(self):
+        # the c_n index family terminates after its first term: three exact
+        # zeros follow, which a three-term budget now accepts
+        half = 3.0
+        args = (-half, half, 2.0 + half, 0.7)
+        with pytest.raises(ConvergenceError):
+            jacobi_fn_ss_loop(*args, SeriesControl(max_terms=3))
+        assert jacobi_fn_ss(*args, SeriesControl(max_terms=3)) == jacobi_fn_ss(*args)
+
+    def test_series_control_has_no_underflow_guard(self):
+        assert [f for f in SeriesControl.__dataclass_fields__] == ["max_terms", "rel_tol"]
+
+
+# ---------------------------------------------------------------------------
+# a+ as the adjoint of a-
+# ---------------------------------------------------------------------------
+
+
+def ladder_up_expression(params, n):
+    """The raising amplitude as it was written out before."""
+    n = np.asarray(n, dtype=float) if np.ndim(n) else float(n)
+    phase = params.alpha * (2.0 * n + 1.0 + params.strength_sum)
+    return np.sqrt(energy(params, n + 1.0)) * np.exp(-1j * phase)
+
+
+LADDER_PARAMS = [
+    P22, PASYM, PotentialParams(2.0, 2.0, alpha=0.3), PotentialParams(1.1, 3.7, alpha=-2.1),
+    PotentialParams(3.3, 1.2, alpha=123.456),
+]
+
+
+class TestLadderAdjoint:
+    @pytest.mark.parametrize("params", LADDER_PARAMS)
+    def test_up_is_conjugate_down_one_level_up(self, params):
+        n = np.arange(300)
+        up, down = ladder_up_amplitude(params, n), np.conj(ladder_down_amplitude(params, n + 1))
+        assert up.tobytes() == down.tobytes()
+        for k in (0, 5, 17):
+            up, down = ladder_up_amplitude(params, k), np.conj(ladder_down_amplitude(params, k + 1))
+            assert type(up) is type(down) and np.asarray(up).tobytes() == np.asarray(down).tobytes()
+
+    @pytest.mark.parametrize("params", LADDER_PARAMS)
+    def test_up_equals_old_expression(self, params):
+        n = np.arange(300)
+        new, old = ladder_up_amplitude(params, n), ladder_up_expression(params, n)
+        assert np.array_equal(new, old)
+        if params.alpha != 0.0:  # at alpha = 0 only the sign of the zero imaginary part moved
+            assert new.tobytes() == old.tobytes()
+
+    def test_down_refuses_a_phase_past_its_precision(self):
+        # one ulp of alpha(2n - 1 + s) crosses 1e-6 rad at 2^33: ulp 2^-19
+        n, factor = 10, 2 * 10 - 1 + 4.0
+        below = PotentialParams(2.0, 2.0, alpha=0.99 * 2.0**33 / factor)
+        above = PotentialParams(2.0, 2.0, alpha=1.01 * 2.0**33 / factor)
+        assert math.ulp(below.alpha * factor) <= PHASE_ULP_MAX < math.ulp(above.alpha * factor)
+        ladder_down_amplitude(below, np.arange(n + 1))
+        with pytest.raises(ArithmeticError, match=r"alpha = .*level n = 10"):
+            ladder_down_amplitude(above, np.arange(n + 1))
+        with pytest.raises(ArithmeticError, match="alpha"):
+            ladder_up_amplitude(above, n - 1)
+
+    def test_is_state_refuses_alpha_past_phase_precision(self):
+        with pytest.raises(ArithmeticError, match=r"alpha = 1e\+300"):
+            is_coefficients(P22, ISLabel(z=0.3, lam=1.0, alpha=1e300), 4)
+
+
+# ---------------------------------------------------------------------------
+# the truncation flag, derived from the tail bound
+# ---------------------------------------------------------------------------
+
+
+class TestDerivedFlag:
+    C = np.array([1.0, 0.0])
+
+    def test_threshold(self):
+        assert not StateVector(self.C, P22, tail_bound=TAIL_WARN).under_truncated
+        assert StateVector(self.C, P22, tail_bound=np.nextafter(TAIL_WARN, 1.0)).under_truncated
+        assert StateVector(self.C, P22, tail_bound=math.inf).under_truncated
+        assert not StateVector(self.C, P22).under_truncated
+
+    def test_flag_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            StateVector(self.C, P22, tail_bound=0.0, under_truncated=True)
+
+    def test_states_reexports_threshold(self):
+        assert states.TAIL_WARN is operators.TAIL_WARN == 1e-10
+
+    def test_evolution_keeps_bound_and_flag(self):
+        state = kp_coefficients(P22, KPLabel(zeta=0.95), 20)
+        evolved = states.evolve_coefficients(state, 0.4)
+        assert state.under_truncated and evolved.under_truncated
+        assert evolved.tail_bound == state.tail_bound
+
+
+# ---------------------------------------------------------------------------
+# one geometric tail majorant, with each constructor's own operands
+# ---------------------------------------------------------------------------
+
+
+def kp_tail_expression(params, label, dim):
+    s = params.strength_sum
+    rho2 = abs(complex(label.zeta)) ** 2
+    pref = (1.0 - rho2) ** ((s + 1.0) / 2.0)
+    k = np.arange(1.0, dim + 1.0)
+    binom = np.cumprod(np.concatenate(([1.0], (k + s) / k)))
+    term = pref * pref * rho2**dim * float(binom[-1])
+    q = rho2 * (dim + 1.0 + s) / (dim + 1.0)
+    return term / (1.0 - q) if q < 1.0 else math.inf
+
+
+def gk_tail_expression(params, label, dim):
+    s = params.strength_sum
+    r = abs(complex(label.z))
+    log_norm = 0.5 * (s * math.log(r) - math.log(bessel_i(s, 2.0 * r)))
+    n = np.arange(dim, dtype=float)
+    log_den = 0.5 * (log_gamma(n + 1.0) + log_gamma(n + s + 1.0))
+    mags = np.exp(log_norm + n * math.log(r) - log_den)
+    q = r * r / energy(params, dim + 1)
+    return (mags[-1] ** 2) * (r * r / energy(params, dim)) / (1.0 - q) if q < 1.0 else math.inf
+
+
+def is_tail_expression(c):
+    ratio = (abs(c[-1]) / abs(c[-2])) ** 2
+    return abs(c[-1]) ** 2 * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+
+
+class TestGeometricTail:
+    @pytest.mark.parametrize("params", [P22, PASYM])
+    @pytest.mark.parametrize("dim", [4, 10, 120])
+    def test_kp(self, params, dim):
+        for zeta in (0.1, 0.5 + 0.3j, -0.8j, 0.95, 0.9814, 0.999):  # q = 0.995 at 0.9814, dim 120
+            label = KPLabel(zeta=zeta, alpha=params.alpha)
+            tail = kp_coefficients(params, label, dim).tail_bound
+            assert tail == kp_tail_expression(params, label, dim)
+        assert math.isinf(kp_coefficients(params, KPLabel(zeta=0.95), 4).tail_bound)
+
+    @pytest.mark.parametrize("params", [P22, PASYM])
+    @pytest.mark.parametrize("dim", [5, 10, 120])
+    def test_gk(self, params, dim):
+        for z in (0.3, 1.0 + 0.5j, -6.0j, 20.0):
+            label = GKLabel(z=z, alpha=params.alpha)
+            tail = gk_coefficients(params, label, dim).tail_bound
+            assert tail == gk_tail_expression(params, label, dim)
+        assert math.isinf(gk_coefficients(params, GKLabel(z=20.0), 5).tail_bound)
+
+    @pytest.mark.parametrize("params", [P22, PASYM])
+    @pytest.mark.parametrize("dim", [10, 120])
+    def test_is(self, params, dim):
+        for z, lam in ((0.3, 1.0), (1.0 + 0.5j, 0.5 + 0.2j), (2.0, 2.5 - 0.7j)):
+            state = is_coefficients(params, ISLabel(z=z, lam=lam, alpha=params.alpha), dim)
+            assert state.tail_bound == is_tail_expression(state.coeffs)

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -608,3 +609,12 @@ def test_oracle_imports_from_closed_form_layer_pinned():
             "gk_annihilation_residual", "gk_coefficients", "kp_coefficients", "kp_from_z",
         },
     }
+
+
+def test_gk_moment_past_float_range_is_named_without_warning():
+    # the moment is integrated in the linear domain: t^(2n+s+1) overflows at n = 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=r"at n = 100, nu = 4\.0, s = 4") as err:
+            gk_moment_oracle(PotentialParams(2, 2), 100, 4.0)
+    assert not isinstance(err.value, ConvergenceError)
