@@ -180,26 +180,43 @@ def jacobi_poly(n, alpha, beta, u):
 
 
 def jacobi_poly_all(nmax, alpha, beta, u):
-    """All Jacobi polynomials P_0 .. P_nmax at u, stacked along axis 0."""
+    """All Jacobi polynomials P_0 .. P_nmax at u, stacked along axis 0.
+
+    The three-term recurrence c1_k P_k = c2_k(u) P_{k-1} - c3_k P_{k-2}
+    is built in place: the level scalars are arrays over k, the rows
+    2..nmax first hold c2_k(u), and each level then takes four in-place
+    passes.  Every value rounds exactly as in the plain per-level form
+    (c2 * P_{k-1} - c3 * P_{k-2}) / c1, and the only (nmax+1, *u.shape)
+    array allocated is the result.
+    """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     if alpha <= -1.0 or beta <= -1.0:
         raise ValueError("Jacobi parameters must exceed -1")
     u = np.asarray(u, dtype=float)
-    if np.any(np.abs(u) > 1.0 + 1e-12):
+    if not np.all(np.abs(u) <= 1.0 + 1e-12):
         raise ValueError("argument must lie in [-1, 1]")
-    out = np.zeros((nmax + 1,) + u.shape)
+    out = np.empty((nmax + 1,) + u.shape)
     out[0] = 1.0
     if nmax >= 1:
         out[1] = (alpha + 1.0) + (alpha + beta + 2.0) * (u - 1.0) / 2.0
-    for k in range(2, nmax + 1):
-        c1 = 2.0 * k * (k + alpha + beta) * (2.0 * k + alpha + beta - 2.0)
-        c2 = (2.0 * k + alpha + beta - 1.0) * (
-            (2.0 * k + alpha + beta) * (2.0 * k + alpha + beta - 2.0) * u
-            + alpha * alpha - beta * beta
-        )
-        c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + alpha + beta)
-        out[k] = (c2 * out[k - 1] - c3 * out[k - 2]) / c1
+    k = np.arange(2.0, nmax + 1.0)
+    c1 = 2.0 * k * (k + alpha + beta) * (2.0 * k + alpha + beta - 2.0)
+    c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + alpha + beta)
+    lead = (2.0 * k + alpha + beta) * (2.0 * k + alpha + beta - 2.0)
+    shape = (-1,) + (1,) * u.ndim  # a level scalar broadcast against u
+    rows = out[2:]
+    np.multiply(lead.reshape(shape), u, out=rows)
+    rows += alpha * alpha
+    rows -= beta * beta
+    rows *= (2.0 * k + alpha + beta - 1.0).reshape(shape)
+    tmp = np.empty(u.shape)
+    for j in range(2, nmax + 1):
+        row = out[j, ...]
+        row *= out[j - 1, ...]
+        np.multiply(out[j - 2, ...], c3[j - 2], out=tmp)
+        row -= tmp
+        row /= c1[j - 2]
     return out
 
 

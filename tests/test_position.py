@@ -1,6 +1,7 @@
 """Position-space realization: grids, factorization, eigenfunctions, wavefunctions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,13 +20,27 @@ from ptcs.position import (
     superpotential,
     wavefunction,
 )
-from ptcs.specfun import log_gamma
-from ptcs.states import GKLabel, KPLabel, evolve_coefficients, gk_coefficients, kp_coefficients
+from ptcs.specfun import jacobi_poly_all, log_gamma
+from ptcs.states import (
+    GKLabel,
+    ISLabel,
+    KPLabel,
+    evolve_coefficients,
+    gk_coefficients,
+    is_coefficients,
+    kp_coefficients,
+)
 
 P22 = PotentialParams(kappa=2.0, kappap=2.0)
 PASYM = PotentialParams(kappa=1.5, kappap=2.5)
 
 H_STENCIL = math.pi / 4096.0
+
+
+@pytest.fixture(scope="module")
+def grid2000():
+    """The 2000-node Gauss-Legendre grid on (0, pi); leggauss(2000) takes ~0.6 s."""
+    return gauss_legendre_grid(P22, 2000)
 
 
 def stencil_d1(f, x, h=H_STENCIL):
@@ -77,6 +92,20 @@ class TestGrids:
                 length=math.pi,
             )
 
+    @pytest.mark.parametrize(
+        "nodes,weights",
+        [([1.0, math.nan], [math.pi, math.nan]), ([1.0, 2.0], [math.pi, math.nan]),
+         ([1.0, math.nan], [1.0, math.pi - 1.0])],
+    )
+    def test_rejects_non_finite_nodes_and_weights(self, nodes, weights):
+        with pytest.raises(ValueError):
+            PositionGrid(
+                nodes=np.array(nodes),
+                weights=np.array(weights),
+                rule=QuadratureRule.GAUSS_LEGENDRE,
+                length=math.pi,
+            )
+
 
 class TestPotential:
     def test_midpoint_value(self):
@@ -103,6 +132,11 @@ class TestPotential:
             potential(P22, 0.0)
         with pytest.raises(ValueError):
             potential(P22, math.pi)
+
+    def test_rejects_non_finite_position(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="strictly inside"):
+                eigenfunction(P22, 3, [1.0, bad])
 
 
 class TestSuperpotential:
@@ -192,6 +226,28 @@ class TestNormConstant:
         with pytest.raises(ValueError, match="level index"):
             norm_constant(P22, np.array([0, 1, -1]))
 
+    def test_matches_mpmath_to_1e12_at_dim_4000(self):
+        mpmath = pytest.importorskip("mpmath")
+        pairs = [(2.712863349048302, 1.79639245207805), (2.0, 2.0), (1.5, 2.5),
+                 (1.1, 4.0), (3.7, 1.2), (1.05, 1.05)]
+        levels = sorted(set(range(0, 4001, 9)) | {3716, 4000})
+        worst = 0.0
+        with mpmath.workdps(40):
+            for kappa, kappap in pairs:
+                params = PotentialParams(kappa=kappa, kappap=kappap)
+                out = norm_constant(params, np.arange(4001))
+                k, kp = mpmath.mpf(kappa), mpmath.mpf(kappap)
+                for n in levels:
+                    # c_n = G(n+k+1/2) G(n+k'+1/2) / ((2n+s) G(n+s) n!) at a = 1
+                    ref = float(mpmath.exp(
+                        mpmath.loggamma(n + k + 0.5) + mpmath.loggamma(n + kp + 0.5)
+                        - mpmath.loggamma(n + k + kp) - mpmath.loggamma(n + 1)
+                    ) / (2 * n + k + kp))
+                    worst = max(worst, abs(out[n] - ref) / ref)
+                    if n == 3716:
+                        assert norm_constant(params, n) == out[n]
+        assert worst <= 1e-12
+
 
 class TestEigenfunctions:
     @pytest.mark.parametrize(
@@ -224,6 +280,15 @@ class TestEigenfunctions:
             signs = np.sign(table[n])
             changes = int(np.sum(signs[1:] * signs[:-1] < 0))
             assert changes == n
+
+    @pytest.mark.parametrize("params", [P22, PASYM, PotentialParams(kappa=2.3, kappap=1.8, a=1.7)])
+    def test_table_is_the_scaled_jacobi_table_bitwise(self, params):
+        x = gauss_legendre_grid(params, 300).nodes
+        t = x / (2.0 * params.a)
+        polys = jacobi_poly_all(150, params.kappa - 0.5, params.kappap - 0.5, np.cos(x / params.a))
+        envelope = np.sin(t) ** params.kappa * np.cos(t) ** params.kappap
+        norms = np.sqrt(norm_constant(params, np.arange(151)))
+        assert np.array_equal(eigenfunction_table(params, 150, x), polys * envelope / norms[:, None])
 
     @pytest.mark.parametrize("params", [P22, PASYM])
     def test_schrodinger_residual(self, params):
@@ -310,3 +375,62 @@ class TestWavefunction:
             psi = wavefunction(P22, evolve_coefficients(st, t), grid)
             norms.append(grid_inner_product(grid, psi, psi).real)
         assert max(abs(v - 1.0) for v in norms) <= 1e-8
+
+    @pytest.mark.parametrize("dim", [120, 2000])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda p, dim: kp_coefficients(p, KPLabel(zeta=0.9 + 0.2j, alpha=0.3), dim),
+            lambda p, dim: gk_coefficients(p, GKLabel(z=15.0 + 4.0j, alpha=0.3), dim),
+            lambda p, dim: is_coefficients(p, ISLabel(z=2.0 - 1.0j, lam=1.2 + 0.4j), dim),
+        ],
+        ids=["kp", "gk", "is"],
+    )
+    def test_matches_complex_table_product(self, make, dim, grid2000):
+        params = PotentialParams(kappa=2.3, kappap=1.8)
+        grid = gauss_legendre_grid(params, 400) if dim == 120 else grid2000
+        st = make(params, dim)
+        psi = wavefunction(params, st, grid)
+        ref = st.coeffs @ eigenfunction_table(params, dim - 1, grid.nodes).astype(complex)
+        assert float(np.max(np.abs(psi - ref))) <= 1e-15 * float(np.max(np.abs(ref)))
+
+    def test_dim_2000_peak_memory(self, grid2000):
+        # the (2000, 2000) real table is 32 MB; a complex copy would add 64 MB
+        params = PotentialParams(kappa=2.3, kappap=1.8)
+        st = gk_coefficients(params, GKLabel(z=15.0 + 4.0j), 2000)
+        tracemalloc.start()
+        try:
+            wavefunction(params, st, grid2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+
+class TestExactRevival:
+    """Revival at t = pi in a symmetric well, a gate that needs no quadrature.
+
+    For kappa = kappa', psi_n(pi a - x) = (-1)^n psi_n(x).  With a = 1 and
+    integer s the phase exp(-i pi n(n+s)) is 1 for odd s, since n(n+s) is
+    even, and (-1)^n for even s: Psi(x, pi) = Psi(x, 0) for odd s and the
+    mirror image Psi(pi - x, 0) for even s, which on the symmetric
+    Gauss-Legendre grid is the reversed node order.
+    """
+
+    @pytest.mark.parametrize("kappa", [1.5, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda p: gk_coefficients(p, GKLabel(z=15.0 + 4.0j), 2000),
+            lambda p: kp_coefficients(p, KPLabel(zeta=0.9 + 0.2j), 2000),
+        ],
+        ids=["gk", "kp"],
+    )
+    def test_revival_at_t_pi(self, make, kappa, grid2000):
+        params = PotentialParams(kappa=kappa, kappap=kappa)
+        st = make(params)
+        psi0 = wavefunction(params, st, grid2000)
+        psit = wavefunction(params, evolve_coefficients(st, math.pi), grid2000)
+        s = round(params.strength_sum)
+        expected = psi0 if s % 2 else psi0[::-1]
+        assert float(np.max(np.abs(psit - expected))) <= 1e-12 * float(np.max(np.abs(psi0)))

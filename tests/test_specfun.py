@@ -127,6 +127,24 @@ def jacobi_sum_oracle(n, alpha, beta, u):
     return total / math.factorial(n)
 
 
+def jacobi_level_loop(nmax, alpha, beta, u):
+    """Per-level recurrence that the in-place jacobi_poly_all must reproduce bit for bit."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros((nmax + 1,) + u.shape)
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = (alpha + 1.0) + (alpha + beta + 2.0) * (u - 1.0) / 2.0
+    for k in range(2, nmax + 1):
+        c1 = 2.0 * k * (k + alpha + beta) * (2.0 * k + alpha + beta - 2.0)
+        c2 = (2.0 * k + alpha + beta - 1.0) * (
+            (2.0 * k + alpha + beta) * (2.0 * k + alpha + beta - 2.0) * u
+            + alpha * alpha - beta * beta
+        )
+        c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + alpha + beta)
+        out[k] = (c2 * out[k - 1] - c3 * out[k - 2]) / c1
+    return out
+
+
 class TestJacobiPoly:
     def test_degree_zero(self):
         assert jacobi_poly(0, 1.2, 3.4, 0.77) == 1.0
@@ -181,6 +199,21 @@ class TestJacobiPoly:
             jacobi_poly(-1, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             jacobi_poly(2, 1.0, 1.0, 1.5)
+
+    def test_rejects_non_finite_argument(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="argument"):
+                jacobi_poly_all(3, 1.5, 1.5, [0.2, bad])
+
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 120, 1999])
+    @pytest.mark.parametrize("shape", [(), (37,), (5, 8)])
+    def test_in_place_build_matches_level_loop_bitwise(self, nmax, shape):
+        rng = np.random.default_rng(nmax + len(shape))
+        alpha, beta = (float(v) for v in rng.uniform(-0.5, 3.5, 2))
+        u = rng.uniform(-1.0, 1.0, shape)
+        out = jacobi_poly_all(nmax, alpha, beta, u)
+        assert out.shape == (nmax + 1,) + shape
+        assert np.array_equal(out, jacobi_level_loop(nmax, alpha, beta, u))
 
 
 class TestBesselI:
