@@ -58,7 +58,7 @@ from .states import (
     is_coefficients,
     kp_coefficients,
 )
-from .verify import run_suite
+from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["RunConfig", "main"]
 
@@ -274,7 +274,10 @@ def cmd_uncertainty(config):
 
 
 def cmd_verify(config):
-    names = None if not config.suite or "all" in config.suite else list(config.suite)
+    # 'all' stands for every check; the names given with it are still validated
+    names = [n for n in config.suite if n != "all"]
+    if "all" in config.suite or not names:
+        names += SUITE_NAMES
     reports = run_suite(config.params(), names)
     overrides = dict(config.tolerances)
     unknown = set(overrides) - {r.check_name for r in reports}

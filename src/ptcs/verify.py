@@ -235,16 +235,17 @@ def cn_from_jacobi_fn(params, n, zmod):
     return val / (math.exp(log_gamma(n + 1.0)) * zmod**n)
 
 
-def _gl_panels(lo, hi, n_nodes, order=30):
-    """Composite Gauss-Legendre nodes/weights over [lo, hi]."""
-    n_panels = max(1, int(math.ceil(n_nodes / order)))
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs.append(0.5 * (b - a) * base_x + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
+_GL30_NODES, _GL30_WEIGHTS = np.polynomial.legendre.leggauss(30)
+
+
+def _gl_panels(lo, hi, n_nodes):
+    """Composite 30-node Gauss-Legendre nodes/weights over [lo, hi]."""
+    if n_nodes < 1:
+        raise ValueError(f"radial_nodes must be >= 1, got {n_nodes}")
+    edges = np.linspace(lo, hi, int(math.ceil(n_nodes / 30)) + 1)
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
+    return (half * _GL30_NODES + 0.5 * (a + b)).ravel(), (half * _GL30_WEIGHTS).ravel()
 
 
 def kp_identity_check(params, alpha, trunc_levels=20, radial_nodes=200):
@@ -260,8 +261,8 @@ def kp_identity_check(params, alpha, trunc_levels=20, radial_nodes=200):
     evaluated here by quadrature, while the Beta-integral reduction gives
     M_nn = 1 identically (companion exact path, also reported).
     """
-    if trunc_levels > 20:
-        raise ValueError("trunc_levels capped at 20")
+    if not 0 <= trunc_levels <= 20:
+        raise ValueError(f"trunc_levels must be >= 0 and <= 20, got {trunc_levels}")
     s = params.strength_sum
     u, w = _gl_panels(0.0, 1.0, radial_nodes)
     worst_numeric = 0.0
@@ -293,15 +294,19 @@ def gk_moment_oracle(params, n, nu, radial_nodes=200):
     Evaluates 4 int_0^inf r^(2n+s+1) K_nu(2r) dr / (n! Gamma(n+s+1)) by
     composite quadrature with the tail truncated where the integrand has
     decayed below 1e-18 of its peak.  The measure resolves the identity
-    at level n exactly when this ratio is 1.  Integrated in the linear domain, it
+    at level n exactly when this ratio is 1.  ``n`` may be a 1-d array
+    of levels (an array result): the top level sets the cutoff and all
+    share one node set and one K_nu evaluation, so the top element equals
+    the scalar call bit for bit.  Integrated in the linear domain, it
     leaves the float range at high n (70 at s = 4): an ArithmeticError naming n, nu, s.
     """
     if nu <= 0.0:
         raise ValueError(f"nu must be > 0, got {nu}")
-    if n < 0 or n != int(n):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    ns = np.ravel(n).tolist()
+    if np.ndim(n) > 1 or not ns or not all(m >= 0 and m == m // 1 for m in ns):
+        raise ValueError(f"n must be a nonnegative integer or a 1-d array of them, got {n!r}")
     s = params.strength_sum
-    mu = 2.0 * n + s + 2.0  # moment order in t = 2r
+    mu = 2.0 * max(ns) + s + 2.0  # top moment order in t = 2r
     peak_log = (mu - 1.5) * math.log(max(mu - 1.5, 1.0)) - (mu - 1.5)
     # cutoffs mu + 30, + 20, ... up to the first past 1200, tried in one
     # bessel_k call; the first where the integrand has decayed wins
@@ -321,38 +326,36 @@ def gk_moment_oracle(params, n, nu, radial_nodes=200):
             last_term=math.exp(excess[i]) if excess[i] < 709.0 else math.inf,
         )
     t, w = _gl_panels(0.0, t_max, radial_nodes)
-    log_ref = log_gamma(n + 1.0) + log_gamma(n + s + 1.0) + (2.0 * n + s) * math.log(2.0)
-    try:
-        with np.errstate(over="raise"):
-            return float(np.sum(w * t ** (mu - 1.0) * bessel_k(nu, t))) / math.exp(log_ref)
-    except (FloatingPointError, OverflowError) as exc:
-        msg = f"radial moment left the float range ({exc}) at n = {n}, nu = {nu}, s = {s}"
-        raise ArithmeticError(msg) from exc
+    k = bessel_k(nu, t)
+    ratios = []
+    for m in ns:
+        mu_m = 2.0 * m + s + 2.0
+        log_ref = log_gamma(m + 1.0) + log_gamma(m + s + 1.0) + (2.0 * m + s) * math.log(2.0)
+        try:
+            with np.errstate(over="raise"):
+                ratios.append(float(np.sum(w * t ** (mu_m - 1.0) * k)) / math.exp(log_ref))
+        except (FloatingPointError, OverflowError) as exc:
+            msg = f"radial moment left the float range ({exc}) at n = {m}, nu = {nu}, s = {s}"
+            raise ArithmeticError(msg) from exc
+    return ratios[0] if np.ndim(n) == 0 else np.array(ratios)
 
 
-def _moment_memo(params, radial_nodes=200):
-    """(n, nu) -> gk_moment_oracle(params, n, nu, radial_nodes), each computed once."""
-    return functools.cache(lambda n, nu: gk_moment_oracle(params, n, nu, radial_nodes))
-
-
-def gk_identity_check(params, alpha, trunc_levels=10, radial_nodes=200, moment=None):
+def gk_identity_check(params, alpha, trunc_levels=10, radial_nodes=200):
     """Resolution of identity for the lowering-eigenstate family.
 
     Diagonal moments with the adjudicated index nu = s must all be 1;
     off-diagonals vanish exactly by angular integration.  The halved
     index that is sometimes quoted for this measure is evaluated at n = 0
-    and recorded in the details as a failing companion value.  ``moment``
-    may be a shared _moment_memo at the same radial_nodes.
+    and recorded in the details as a failing companion value.
     """
+    if trunc_levels < 0:
+        raise ValueError(f"trunc_levels must be >= 0, got {trunc_levels}")
     s = params.strength_sum
-    moment = moment or _moment_memo(params, radial_nodes)
-    worst = 0.0
-    for n in range(trunc_levels + 1):
-        worst = max(worst, abs(moment(n, s) - 1.0))
-    halved = moment(0, s / 2.0)
+    moments = gk_moment_oracle(params, np.arange(trunc_levels + 1), s, radial_nodes)
+    halved = gk_moment_oracle(params, 0, s / 2.0, radial_nodes)
     return VerifyReport(
         check_name="gk-identity",
-        max_deviation=worst,
+        max_deviation=float(np.max(np.abs(moments - 1.0))),
         tolerance=1e-6,
         details={
             "levels": float(trunc_levels),
@@ -372,6 +375,8 @@ def reconstruction_check(params, f, alpha, radial_nodes=200, angular_nodes=64):
     analytic shortcut), so it exercises the transform's phases as well as
     the radial moments.  Reports the worst coefficient deviation.
     """
+    if angular_nodes < 1:
+        raise ValueError(f"angular_nodes must be >= 1, got {angular_nodes}")
     dim = f.dim
     s = params.strength_sum
     u, wu = _gl_panels(0.0, 1.0, radial_nodes)
@@ -480,10 +485,10 @@ def _check_cn_ode(params, zmod=0.5, n_max=6):
     )
 
 
-def _check_gk_measure_index(params, moment):
-    s = params.strength_sum
-    good = max(abs(moment(n, s) - 1.0) for n in range(0, 11))
-    bad = abs(moment(0, s / 2.0) - 1.0)
+def _check_gk_measure_index(params):
+    identity = gk_identity_check(params, params.alpha)
+    good = identity.max_deviation
+    bad = identity.details["halved_index_deviation"]
     # pass means: correct index resolves the moments AND the halved index
     # visibly does not
     deviation = good if bad > 0.10 else 1.0
@@ -545,8 +550,8 @@ def _check_kp_identity(params):
     return kp_identity_check(params, params.alpha)
 
 
-def _check_gk_identity(params, moment):
-    return gk_identity_check(params, params.alpha, moment=moment)
+def _check_gk_identity(params):
+    return gk_identity_check(params, params.alpha)
 
 
 def _check_reconstruction(params, dim=12):
@@ -572,23 +577,11 @@ _SUITE = (
 
 SUITE_NAMES = tuple(name for name, _ in _SUITE)
 
-_MOMENT_CHECKS = ("gk-measure-index", "gk-identity")  # share the radial moments
-
 
 def run_suite(params, names=None):
     """Run the named checks (all of them by default), in a fixed order."""
-    if names is None:
-        selected = SUITE_NAMES
-    else:
-        unknown = [n for n in names if n not in SUITE_NAMES]
-        if unknown:
-            raise ValueError(
-                f"unknown check name(s) {unknown}; valid names: {list(SUITE_NAMES)}"
-            )
-        selected = tuple(n for n in SUITE_NAMES if n in set(names))
-    lookup = dict(_SUITE)
-    moment = _moment_memo(params)  # shared by this call's checks only
-    return [
-        lookup[name](params, moment) if name in _MOMENT_CHECKS else lookup[name](params)
-        for name in selected
-    ]
+    names = SUITE_NAMES if names is None else tuple(names)
+    unknown = [n for n in names if n not in SUITE_NAMES]
+    if unknown:
+        raise ValueError(f"unknown check name(s) {unknown}; valid names: {list(SUITE_NAMES)}")
+    return [check(params) for name, check in _SUITE if name in names]

@@ -324,6 +324,11 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
         assert "valid names" in err
 
+    def test_unknown_check_next_to_all_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", *BASE, "--suite", "all,bogus-check")
+        assert code == EXIT_USAGE
+        assert out == "" and "bogus-check" in err
+
     def test_tolerance_override_tightening_fails_check(self, capsys):
         code, out, _ = run(
             capsys, "verify", *BASE, "--suite", "kp-identity",

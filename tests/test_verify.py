@@ -114,6 +114,29 @@ def gk_moment_scalar_search(params, n, nu, radial_nodes=200):
     return integral / math.exp(log_ref)
 
 
+def gl_panels_loop(lo, hi, n_nodes, order=30):
+    """Reference: composite Gauss-Legendre rule built one panel at a time."""
+    n_panels = max(1, int(math.ceil(n_nodes / order)))
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, n_panels + 1)
+    xs, ws = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        xs.append(0.5 * (b - a) * base_x + 0.5 * (a + b))
+        ws.append(0.5 * (b - a) * base_w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, n_nodes",
+    [(0.0, 1.0, 200), (0.0, 1.0, 1), (0.0, 1.0, 30), (0.0, 1.0, 31), (0.0, 63.0, 200),
+     (0.0, 1234.5, 200), (-2.5, 3.7, 95), (0.1, 0.1000001, 600)],
+)
+def test_gl_panels_match_panel_loop_bitwise(lo, hi, n_nodes):
+    x, w = verify._gl_panels(lo, hi, n_nodes)
+    ref_x, ref_w = gl_panels_loop(lo, hi, n_nodes)
+    assert x.tolist() == ref_x.tolist() and w.tolist() == ref_w.tolist()
+
+
 class TestTaylorExpmApply:
     def test_zero_matrix(self):
         v = np.array([1.0, 2.0, 3.0], dtype=complex)
@@ -487,6 +510,25 @@ class TestGKMeasure:
             gk_moment_oracle(P22, 0, 0.0)
 
     @pytest.mark.parametrize("params", [P22, PASYM], ids=["integer-s", "float-s"])
+    def test_level_array_top_equals_scalar_call(self, params):
+        s = params.strength_sum
+        moments = gk_moment_oracle(params, np.arange(11), s)
+        assert moments.shape == (11,)
+        assert moments[-1] == gk_moment_oracle(params, 10, s)
+
+    @pytest.mark.parametrize("kappa", [1.001, 1.1, 2.0, 5.0, 10.0])
+    @pytest.mark.parametrize("shift", [0.0, 0.3], ids=["kappap=kappa", "kappap=kappa+0.3"])
+    def test_level_array_resolves_identity(self, kappa, shift):
+        params = PotentialParams(kappa=kappa, kappap=kappa + shift)
+        moments = gk_moment_oracle(params, np.arange(11), params.strength_sum)
+        assert float(np.max(np.abs(moments - 1.0))) <= 1e-10
+
+    @pytest.mark.parametrize("n", [-1, 1.5, math.inf, math.nan, [0, -1], [[0, 1]], []])
+    def test_level_domain(self, n):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            gk_moment_oracle(P22, n, 4.0)
+
+    @pytest.mark.parametrize("params", [P22, PASYM], ids=["integer-s", "float-s"])
     def test_batched_cutoff_equals_scalar_search(self, params):
         s = params.strength_sum
         for n, nu in [(n, s) for n in range(0, 11)] + [(0, s / 2.0), (3, 0.7)]:
@@ -549,11 +591,28 @@ class TestRunSuite:
 
         monkeypatch.setattr(verify, "gk_moment_oracle", counted)
         run_suite(P22)
-        assert len(calls) == 12  # 11 levels at nu = s and the halved index
+        assert len(calls) == 4  # per gk check: the 11 levels at nu = s, the halved index
         calls.clear()
         for name in SUITE_NAMES:
             run_suite(P22, [name])
-        assert len(calls) == 24  # nothing is kept between calls
+        assert len(calls) == 4  # nothing is kept between calls
+
+    def test_suite_makes_eight_bessel_k_calls(self, monkeypatch):
+        import ptcs
+        import ptcs.specfun
+        import ptcs.states
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bessel_k(*args)
+
+        for module in (ptcs, ptcs.specfun, ptcs.states, verify):
+            if hasattr(module, "bessel_k"):
+                monkeypatch.setattr(module, "bessel_k", counted)
+        run_suite(P22)
+        assert len(calls) == 8  # cutoff search and nodes, per moment call
 
     def test_cn_ode_evaluates_each_point_once(self, monkeypatch):
         calls = []
@@ -618,3 +677,30 @@ def test_gk_moment_past_float_range_is_named_without_warning():
         with pytest.raises(ArithmeticError, match=r"at n = 100, nu = 4\.0, s = 4") as err:
             gk_moment_oracle(PotentialParams(2, 2), 100, 4.0)
     assert not isinstance(err.value, ConvergenceError)
+
+
+class TestEmptyBudgets:
+    """An oracle given nothing to check raises instead of reporting a pass."""
+
+    @pytest.mark.parametrize("check", [kp_identity_check, gk_identity_check])
+    def test_trunc_levels(self, check):
+        with pytest.raises(ValueError, match="trunc_levels must be >= 0"):
+            check(P22, 0.0, trunc_levels=-1)
+
+    @pytest.mark.parametrize("radial_nodes", [0, -5])
+    def test_radial_nodes(self, radial_nodes):
+        f = StateVector(np.eye(4, dtype=complex)[0], P22)
+        for call in (
+            lambda: kp_identity_check(P22, 0.0, radial_nodes=radial_nodes),
+            lambda: gk_identity_check(P22, 0.0, radial_nodes=radial_nodes),
+            lambda: gk_moment_oracle(P22, 0, 4.0, radial_nodes=radial_nodes),
+            lambda: reconstruction_check(P22, f, 0.0, radial_nodes=radial_nodes),
+        ):
+            with pytest.raises(ValueError, match="radial_nodes must be >= 1"):
+                call()
+
+    @pytest.mark.parametrize("angular_nodes", [0, -1])
+    def test_angular_nodes(self, angular_nodes):
+        f = StateVector(np.eye(4, dtype=complex)[0], P22)
+        with pytest.raises(ValueError, match="angular_nodes must be >= 1"):
+            reconstruction_check(P22, f, 0.0, angular_nodes=angular_nodes)
