@@ -11,9 +11,8 @@ Usage:
 Flags by subcommand: every subcommand takes --kappa --kappap --a --alpha
 --format --out.  spectrum adds --dim; state and uncertainty add --dim and
 the six label flags; wavefunction adds those and --grid --t --autocorr;
-verify adds --suite --tol, and --dim, which it checks (>= 1) but neither
-uses nor echoes, since its checks run at fixed budgets.  A flag that a
-subcommand does not read is a usage error.
+verify adds --suite --tol; its checks run at fixed budgets.  A flag that
+a subcommand does not read is a usage error.
 
 Label selection: --zeta-re/--zeta-im pick the displacement-orbit family
 (disc coordinate, |zeta| < 1); --z-re/--z-im pick the
@@ -325,14 +324,14 @@ _COMMON = ("--kappa", "--kappap", "--a", "--alpha", "--format", "--out")
 # the truncation and the label: what builds a state
 _STATE = ("--dim", "--zeta-re", "--zeta-im", "--z-re", "--z-im", "--lambda-re", "--lambda-im")
 
-# Subcommand -> (handler, the flags it reads).  verify reads --dim only
-# to check it: its checks run at fixed budgets.
+# Subcommand -> (handler, the flags it reads).  verify takes no --dim:
+# its checks run at fixed budgets.
 _COMMANDS = {
     "spectrum": (cmd_spectrum, _COMMON + ("--dim",)),
     "state": (cmd_state, _COMMON + _STATE),
     "wavefunction": (cmd_wavefunction, _COMMON + _STATE + ("--grid", "--t", "--autocorr")),
     "uncertainty": (cmd_uncertainty, _COMMON + _STATE),
-    "verify": (cmd_verify, _COMMON + ("--dim", "--suite", "--tol")),
+    "verify": (cmd_verify, _COMMON + ("--suite", "--tol")),
 }
 
 

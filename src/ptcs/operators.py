@@ -268,5 +268,4 @@ def variance_pair(state):
         "dP2": float(p2.real - mean_p.real**2),
         "meanG": float(mean_g.real),
         "meanF": float(mean_f),
-        "under_truncated": state.under_truncated,
     }

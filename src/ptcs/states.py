@@ -196,13 +196,9 @@ def evolve(label, t):
     minimum-uncertainty labels this is a relabeling convention only and
     the coefficient-level evolution is the ground truth.
     """
-    if isinstance(label, KPLabel):
-        return KPLabel(zeta=label.zeta, alpha=label.alpha + t)
-    if isinstance(label, GKLabel):
-        return GKLabel(z=label.z, alpha=label.alpha + t)
-    if isinstance(label, ISLabel):
-        return ISLabel(z=label.z, lam=label.lam, alpha=label.alpha + t)
-    raise TypeError(f"not a coherent-state label: {label!r}")
+    if not isinstance(label, (KPLabel, GKLabel, ISLabel)):
+        raise TypeError(f"not a coherent-state label: {label!r}")
+    return replace(label, alpha=label.alpha + t)
 
 
 def evolve_coefficients(state, t):

@@ -248,7 +248,7 @@ def _gl_panels(lo, hi, n_nodes):
     return (half * _GL30_NODES + 0.5 * (a + b)).ravel(), (half * _GL30_WEIGHTS).ravel()
 
 
-def kp_identity_check(params, alpha, trunc_levels=20, radial_nodes=200):
+def kp_identity_check(params, trunc_levels=20, radial_nodes=200):
     """Resolution of identity for the displacement family.
 
     The angular integral kills off-diagonal matrix elements exactly, so
@@ -258,32 +258,25 @@ def kp_identity_check(params, alpha, trunc_levels=20, radial_nodes=200):
 
         M_nn = s C(n+s,n) int_0^1 u^n (1-u)^(s-1) du,
 
-    evaluated here by quadrature, while the Beta-integral reduction gives
-    M_nn = 1 identically (companion exact path, also reported).
+    evaluated here for all levels n <= trunc_levels in one quadrature
+    product, while the Beta-integral reduction gives M_nn = 1
+    identically (companion exact path, also reported).
     """
-    if not 0 <= trunc_levels <= 20:
-        raise ValueError(f"trunc_levels must be >= 0 and <= 20, got {trunc_levels}")
+    if not (0 <= trunc_levels <= 20 and trunc_levels % 1 == 0):
+        raise ValueError(f"trunc_levels must be >= 0 and <= 20 and an integer, got {trunc_levels}")
     s = params.strength_sum
     u, w = _gl_panels(0.0, 1.0, radial_nodes)
-    worst_numeric = 0.0
-    worst_exact = 0.0
-    for n in range(trunc_levels + 1):
-        g_n = gamma_ratio(n, s)
-        numeric = s * g_n * float(np.sum(w * u**n * (1.0 - u) ** (s - 1.0)))
-        exact = s * g_n * math.exp(
-            log_gamma(n + 1.0) + log_gamma(s) - log_gamma(n + 1.0 + s)
-        )
-        worst_numeric = max(worst_numeric, abs(numeric - 1.0))
-        worst_exact = max(worst_exact, abs(exact - 1.0))
+    n = np.arange(trunc_levels + 1.0)
+    norm = s * np.array([gamma_ratio(k, s) for k in n])
+    numeric = norm * (u ** n[:, None] @ (w * (1.0 - u) ** (s - 1.0)))
+    exact = norm * np.exp(log_gamma(n + 1.0) + log_gamma(s) - log_gamma(n + 1.0 + s))
     return VerifyReport(
         check_name="kp-identity",
-        max_deviation=worst_numeric,
+        max_deviation=float(np.max(np.abs(numeric - 1.0))),
         tolerance=1e-6,
         details={
-            "exact_path_deviation": worst_exact,
+            "exact_path_deviation": float(np.max(np.abs(exact - 1.0))),
             "levels": float(trunc_levels),
-            "alpha": float(alpha),
-            "off_diagonal": 0.0,  # vanishes exactly by angular integration
         },
     )
 
@@ -340,7 +333,7 @@ def gk_moment_oracle(params, n, nu, radial_nodes=200):
     return ratios[0] if np.ndim(n) == 0 else np.array(ratios)
 
 
-def gk_identity_check(params, alpha, trunc_levels=10, radial_nodes=200):
+def gk_identity_check(params, trunc_levels=10, radial_nodes=200):
     """Resolution of identity for the lowering-eigenstate family.
 
     Diagonal moments with the adjudicated index nu = s must all be 1;
@@ -348,8 +341,8 @@ def gk_identity_check(params, alpha, trunc_levels=10, radial_nodes=200):
     index that is sometimes quoted for this measure is evaluated at n = 0
     and recorded in the details as a failing companion value.
     """
-    if trunc_levels < 0:
-        raise ValueError(f"trunc_levels must be >= 0, got {trunc_levels}")
+    if not (trunc_levels >= 0 and trunc_levels % 1 == 0):
+        raise ValueError(f"trunc_levels must be >= 0 and an integer, got {trunc_levels}")
     s = params.strength_sum
     moments = gk_moment_oracle(params, np.arange(trunc_levels + 1), s, radial_nodes)
     halved = gk_moment_oracle(params, 0, s / 2.0, radial_nodes)
@@ -359,10 +352,8 @@ def gk_identity_check(params, alpha, trunc_levels=10, radial_nodes=200):
         tolerance=1e-6,
         details={
             "levels": float(trunc_levels),
-            "alpha": float(alpha),
             "halved_index_ratio_n0": halved,
             "halved_index_deviation": abs(halved - 1.0),
-            "off_diagonal": 0.0,
         },
     )
 
@@ -373,7 +364,10 @@ def reconstruction_check(params, f, alpha, radial_nodes=200, angular_nodes=64):
     |f> = int f(zeta, zeta-bar) |zeta, alpha> dmu(zeta) with the invariant
     measure; the integral is done honestly over modulus and angle (no
     analytic shortcut), so it exercises the transform's phases as well as
-    the radial moments.  Reports the worst coefficient deviation.
+    the radial moments.  The members |zeta, alpha> at every (modulus,
+    angle) node are a radial table (nodes x dim) times the angular
+    phases, so the transform and the resynthesis are two matrix products.
+    Reports the worst coefficient deviation.
     """
     if angular_nodes < 1:
         raise ValueError(f"angular_nodes must be >= 1, got {angular_nodes}")
@@ -387,13 +381,11 @@ def reconstruction_check(params, f, alpha, radial_nodes=200, angular_nodes=64):
         -1j * alpha * n * (n + s)
     )
     angular = np.exp(1j * np.outer(n, phi))  # e^{i n phi_j}
-    recon = np.zeros(dim, dtype=complex)
-    for ui, wui in zip(u, wu):
-        pref = (1.0 - ui) ** ((s + 1.0) / 2.0)
-        radial = pref * base * math.sqrt(ui) ** n
-        members = radial[:, None] * angular  # coefficient vectors, one per angle
-        fvals = members.conj().T @ f.coeffs  # transform values at each angle
-        recon += (members @ fvals) * (wphi * wui / (1.0 - ui) ** 2)
+    # radial[i, n]: member coefficient n at modulus node i, angle 0
+    radial = ((1.0 - u) ** ((s + 1.0) / 2.0))[:, None] * base * np.sqrt(u)[:, None] ** n
+    fvals = (radial.conj() * f.coeffs) @ angular.conj()  # transform at each (modulus, angle)
+    weights = wphi * wu / (1.0 - u) ** 2
+    recon = weights @ (radial * (fvals @ angular.T))
     recon *= s / (2.0 * math.pi)  # d^2 zeta = rho drho dphi = du dphi / 2
     dev = float(np.max(np.abs(recon - f.coeffs)))
     return VerifyReport(
@@ -486,7 +478,7 @@ def _check_cn_ode(params, zmod=0.5, n_max=6):
 
 
 def _check_gk_measure_index(params):
-    identity = gk_identity_check(params, params.alpha)
+    identity = gk_identity_check(params)
     good = identity.max_deviation
     bad = identity.details["halved_index_deviation"]
     # pass means: correct index resolves the moments AND the halved index
@@ -546,14 +538,6 @@ def _check_temporal_stability(params, dim=80):
     )
 
 
-def _check_kp_identity(params):
-    return kp_identity_check(params, params.alpha)
-
-
-def _check_gk_identity(params):
-    return gk_identity_check(params, params.alpha)
-
-
 def _check_reconstruction(params, dim=12):
     coeffs = np.zeros(dim, dtype=complex)
     coeffs[0] = 1.0 / math.sqrt(2.0)
@@ -567,10 +551,10 @@ _SUITE = (
     ("cn-triple-agreement", _check_cn_triple),
     ("pi-recursion", _check_pi_recursion),
     ("cn-ode", _check_cn_ode),
-    ("kp-identity", _check_kp_identity),
+    ("kp-identity", kp_identity_check),
     ("kp-reconstruction", _check_reconstruction),
     ("gk-measure-index", _check_gk_measure_index),
-    ("gk-identity", _check_gk_identity),
+    ("gk-identity", gk_identity_check),
     ("gk-action", _check_gk_action),
     ("temporal-stability", _check_temporal_stability),
 )

@@ -120,7 +120,7 @@ def test_criterion_03_pi_recursion_and_ode():
 
 
 def test_criterion_04_kp_resolution_of_identity():
-    rep = kp_identity_check(P22, alpha=0.0, trunc_levels=20, radial_nodes=200)
+    rep = kp_identity_check(P22, trunc_levels=20, radial_nodes=200)
     exact_dev = rep.details["exact_path_deviation"]
     report(
         4,

@@ -45,10 +45,10 @@ class TestSpectrum:
         assert code == EXIT_USAGE
         assert "kappa" in err and "> 1" in err
 
-    @pytest.mark.parametrize("command", ["spectrum", "state", "wavefunction", "uncertainty", "verify"])
+    @pytest.mark.parametrize("command", ["spectrum", "state", "wavefunction", "uncertainty"])
     @pytest.mark.parametrize("dim", ["0", "-3"])
     def test_nonpositive_dim_is_usage_error(self, capsys, command, dim):
-        # spectrum and verify take no label flag
+        # spectrum takes no label flag
         label = ["--z-re", "1"] if command in ("state", "wavefunction", "uncertainty") else []
         code, out, err = run(capsys, command, *BASE, *label, f"--dim={dim}")
         assert code == EXIT_USAGE
@@ -258,10 +258,19 @@ class TestUncertainty:
 
 class TestVerifyCommand:
     def test_meta_echoes_no_dim(self, capsys):
-        code, out, _ = run(capsys, "verify", *BASE, "--suite", "kp-identity", "--dim", "8")
+        code, out, _ = run(capsys, "verify", *BASE, "--suite", "kp-identity")
         assert code == EXIT_OK
         meta, _, _ = parse_csv(out)
         assert "dim" not in meta and meta["checks"] == "1"
+
+    @pytest.mark.parametrize("dim", [["--dim=0"], ["--dim=-3"], ["--dim", "8"]], ids=["0", "-3", "8"])
+    def test_dim_flag_is_usage_error(self, capsys, dim):
+        # the checks run at fixed budgets, so verify takes no --dim at all
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *BASE, "--suite", "kp-identity", *dim])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--dim" in captured.err
 
     def test_radial_grid_flag_removed(self, capsys):
         with pytest.raises(SystemExit):
@@ -395,7 +404,7 @@ READS = {
     "state": COMMON + STATE,
     "wavefunction": COMMON + STATE + ("--grid", "--t", "--autocorr"),
     "uncertainty": COMMON + STATE,
-    "verify": COMMON + ("--dim", "--suite", "--tol"),
+    "verify": COMMON + ("--suite", "--tol"),
 }
 SAMPLE = {
     "--kappa": "3", "--kappap": "3", "--a": "1.5", "--alpha": "0.2", "--format": "json",
@@ -411,7 +420,7 @@ def flag_argv(flag):
 
 class TestFlagTable:
     def test_table_size(self):
-        assert sum(len(flags) for flags in READS.values()) == 58
+        assert sum(len(flags) for flags in READS.values()) == 57
         assert set().union(*READS.values()) == set(SAMPLE)
 
     @pytest.mark.parametrize("flag", list(SAMPLE))
@@ -450,6 +459,30 @@ class TestFlagTable:
         assert exc.value.code == EXIT_OK
         listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
         assert listed == set(READS["spectrum"]) | {"--help"}
+
+
+def _readme_flag_table():
+    """Subcommand -> the flags its row of the README table lists besides the common ones."""
+    section = README.read_text().split("## Command line", 1)[1]
+    rows = {}
+    for line in section.split("\n"):
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 2 or not cells[0].startswith("`"):
+            continue
+        flags = set(re.findall(r"--[a-z][a-z-]*", cells[1]))
+        for command in re.findall(r"`([a-z]+)`", cells[1]):  # "what `state` takes"
+            flags |= rows[command]
+        rows.update({command: flags for command in re.findall(r"`([a-z]+)`", cells[0])})
+    return rows
+
+
+def test_readme_flag_table_matches_commands():
+    table = _readme_flag_table()
+    header = next(line for line in README.read_text().split("\n") if line.startswith("| subcommand |"))
+    assert set(re.findall(r"--[a-z][a-z-]*", header)) == set(ptcs.cli._COMMON)
+    assert set(table) == set(ptcs.cli._COMMANDS)
+    for command, (_, flags) in ptcs.cli._COMMANDS.items():
+        assert table[command] == set(flags) - set(ptcs.cli._COMMON), command
 
 
 class TestNonFiniteInput:

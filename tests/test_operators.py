@@ -247,6 +247,10 @@ class TestVariancePair:
         assert v["meanF"] == pytest.approx(0.0, abs=1e-12)
         assert v["meanG"] == pytest.approx(s + 1.0, rel=1e-12)
 
+    def test_keys_are_the_four_functionals(self):
+        v = variance_pair(basis_state(P22A, 1, 20))
+        assert set(v) == {"dW2", "dP2", "meanG", "meanF"}
+
     def test_uncertainty_inequality_random_sweep(self):
         # product relation holds for arbitrary states; random vectors are
         # padded with empty head-room so truncation cannot corrupt the

@@ -1,6 +1,7 @@
 """Coherent-state families: closed forms, eigen-properties, uncertainty relations."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -124,6 +125,19 @@ class TestEvolution:
     def test_zero_time_identity(self):
         label = KPLabel(zeta=0.3, alpha=0.2)
         assert evolve(label, 0.0) == label
+
+    @pytest.mark.parametrize(
+        "label", [KPLabel(zeta=0.3 - 0.1j, alpha=0.2), GKLabel(z=1.5j, alpha=0.2), ISLabel(z=0.4, lam=2.0, alpha=0.2)]
+    )
+    def test_shifts_only_alpha(self, label):
+        evolved = evolve(label, 0.5)
+        assert type(evolved) is type(label) and evolved.alpha == label.alpha + 0.5
+        assert dataclasses.replace(evolved, alpha=label.alpha) == label
+
+    def test_non_label_rejected(self):
+        # PotentialParams has an alpha field too, but is not a state label
+        with pytest.raises(TypeError, match="not a coherent-state label"):
+            evolve(PotentialParams(2, 2), 0.5)
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_non_finite_time_rejected(self, t):

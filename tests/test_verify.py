@@ -1,6 +1,7 @@
 """Oracle layer: matrix exponential, nested-sum tables, identity checks."""
 
 import ast
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 
 from ptcs.operators import PotentialParams, StateVector, build_matrices
 import ptcs.verify as verify
-from ptcs.specfun import ConvergenceError, bessel_k, jacobi_fn_ss, log_gamma
+from ptcs.specfun import ConvergenceError, bessel_k, gamma_ratio, jacobi_fn_ss, log_gamma
 from ptcs.states import kp_from_z
 from ptcs.verify import (
     SUITE_NAMES,
@@ -135,6 +136,39 @@ def test_gl_panels_match_panel_loop_bitwise(lo, hi, n_nodes):
     x, w = verify._gl_panels(lo, hi, n_nodes)
     ref_x, ref_w = gl_panels_loop(lo, hi, n_nodes)
     assert x.tolist() == ref_x.tolist() and w.tolist() == ref_w.tolist()
+
+
+def kp_identity_level_loop(params, trunc_levels=20, radial_nodes=200):
+    """Reference: kp_identity_check's worst numeric and exact deviations, one level at a time."""
+    s = params.strength_sum
+    u, w = verify._gl_panels(0.0, 1.0, radial_nodes)
+    worst_numeric = worst_exact = 0.0
+    for n in range(trunc_levels + 1):
+        g_n = gamma_ratio(n, s)
+        numeric = s * g_n * float(np.sum(w * u**n * (1.0 - u) ** (s - 1.0)))
+        exact = s * g_n * math.exp(log_gamma(n + 1.0) + log_gamma(s) - log_gamma(n + 1.0 + s))
+        worst_numeric = max(worst_numeric, abs(numeric - 1.0))
+        worst_exact = max(worst_exact, abs(exact - 1.0))
+    return worst_numeric, worst_exact
+
+
+def reconstruction_node_loop(params, f, alpha, radial_nodes=200, angular_nodes=64):
+    """Reference: reconstruction_check's worst deviation, one modulus node at a time."""
+    s = params.strength_sum
+    u, wu = verify._gl_panels(0.0, 1.0, radial_nodes)
+    phi = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    wphi = 2.0 * math.pi / angular_nodes
+    n = np.arange(f.dim, dtype=float)
+    base = np.sqrt(np.array([gamma_ratio(int(k), s) for k in n])) * np.exp(-1j * alpha * n * (n + s))
+    angular = np.exp(1j * np.outer(n, phi))
+    recon = np.zeros(f.dim, dtype=complex)
+    for ui, wui in zip(u, wu):
+        radial = (1.0 - ui) ** ((s + 1.0) / 2.0) * base * math.sqrt(ui) ** n
+        members = radial[:, None] * angular
+        fvals = members.conj().T @ f.coeffs
+        recon += (members @ fvals) * (wphi * wui / (1.0 - ui) ** 2)
+    recon *= s / (2.0 * math.pi)
+    return float(np.max(np.abs(recon - f.coeffs)))
 
 
 class TestTaylorExpmApply:
@@ -473,17 +507,30 @@ def test_series_budget_capped_above_validated_strengths():
 
 class TestKPIdentity:
     def test_exact_beta_path(self):
-        rep = kp_identity_check(P22, alpha=0.0)
+        rep = kp_identity_check(P22)
         assert rep.details["exact_path_deviation"] <= 1e-13
 
     def test_numeric_path(self):
-        rep = kp_identity_check(P22, alpha=0.0, trunc_levels=20, radial_nodes=200)
+        rep = kp_identity_check(P22, trunc_levels=20, radial_nodes=200)
         assert rep.passed
         assert rep.max_deviation <= 1e-6
 
     def test_non_integer_strengths(self):
-        rep = kp_identity_check(PASYM, alpha=0.2, trunc_levels=15)
+        rep = kp_identity_check(PASYM, trunc_levels=15)
         assert rep.passed
+
+    @pytest.mark.parametrize("params", [P22, PASYM, PotentialParams(1.1, 1.3), PotentialParams(4.0, 3.0)])
+    @pytest.mark.parametrize("trunc_levels", [0, 7, 20])
+    def test_level_array_matches_level_loop(self, params, trunc_levels):
+        rep = kp_identity_check(params, trunc_levels=trunc_levels)
+        numeric, exact = kp_identity_level_loop(params, trunc_levels)
+        assert abs(rep.max_deviation - numeric) <= 1e-14
+        assert abs(rep.details["exact_path_deviation"] - exact) <= 1e-14
+
+    @pytest.mark.parametrize("check", [kp_identity_check, gk_identity_check])
+    def test_reports_only_computed_details(self, check):
+        rep = check(P22)
+        assert not {"alpha", "off_diagonal"} & set(rep.details)
 
 
 class TestGKMeasure:
@@ -501,7 +548,7 @@ class TestGKMeasure:
         assert gk_moment_oracle(P22, 0, 4.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_identity_report(self):
-        rep = gk_identity_check(P22, alpha=0.0, trunc_levels=10)
+        rep = gk_identity_check(P22, trunc_levels=10)
         assert rep.passed
         assert rep.details["halved_index_deviation"] > 0.10
 
@@ -560,8 +607,18 @@ class TestReconstruction:
         coeffs[4] = 1.0
         rep = reconstruction_check(P22, StateVector(coeffs, P22), alpha=0.0)
         assert rep.passed
-        identity = kp_identity_check(P22, alpha=0.0, trunc_levels=8)
+        identity = kp_identity_check(P22, trunc_levels=8)
         assert rep.max_deviation <= 10.0 * max(identity.max_deviation, 1e-12)
+
+    @pytest.mark.parametrize("params", [P22, PASYM, PotentialParams(1.1, 1.3)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("levels", [(0,), (0, 3), (1, 2, 5, 7)])
+    def test_node_table_matches_node_loop(self, params, alpha, levels):
+        coeffs = np.zeros(9, dtype=complex)
+        coeffs[list(levels)] = np.exp(1j * np.arange(len(levels))) / math.sqrt(len(levels))
+        f = StateVector(coeffs, params)
+        rep = reconstruction_check(params, f, alpha)
+        assert abs(rep.max_deviation - reconstruction_node_loop(params, f, alpha)) <= 1e-14
 
 
 class TestRunSuite:
@@ -581,6 +638,12 @@ class TestRunSuite:
         together = [r.as_dict() for r in run_suite(params)]
         alone = [run_suite(params, [name])[0].as_dict() for name in SUITE_NAMES]
         assert together == alone
+
+    @pytest.mark.parametrize("params", [P22, PASYM], ids=["integer-s", "float-s"])
+    def test_alpha_free_checks_ignore_alpha(self, params):
+        names = ["cn-triple-agreement", "pi-recursion", "cn-ode", "kp-identity", "gk-measure-index", "gk-identity"]
+        at = [[r.as_dict() for r in run_suite(dataclasses.replace(params, alpha=a), names)] for a in (0.0, 0.7)]
+        assert at[0] == at[1]
 
     def test_moments_computed_once_per_call(self, monkeypatch):
         calls = []
@@ -685,14 +748,14 @@ class TestEmptyBudgets:
     @pytest.mark.parametrize("check", [kp_identity_check, gk_identity_check])
     def test_trunc_levels(self, check):
         with pytest.raises(ValueError, match="trunc_levels must be >= 0"):
-            check(P22, 0.0, trunc_levels=-1)
+            check(P22, trunc_levels=-1)
 
     @pytest.mark.parametrize("radial_nodes", [0, -5])
     def test_radial_nodes(self, radial_nodes):
         f = StateVector(np.eye(4, dtype=complex)[0], P22)
         for call in (
-            lambda: kp_identity_check(P22, 0.0, radial_nodes=radial_nodes),
-            lambda: gk_identity_check(P22, 0.0, radial_nodes=radial_nodes),
+            lambda: kp_identity_check(P22, radial_nodes=radial_nodes),
+            lambda: gk_identity_check(P22, radial_nodes=radial_nodes),
             lambda: gk_moment_oracle(P22, 0, 4.0, radial_nodes=radial_nodes),
             lambda: reconstruction_check(P22, f, 0.0, radial_nodes=radial_nodes),
         ):
@@ -704,3 +767,10 @@ class TestEmptyBudgets:
         f = StateVector(np.eye(4, dtype=complex)[0], P22)
         with pytest.raises(ValueError, match="angular_nodes must be >= 1"):
             reconstruction_check(P22, f, 0.0, angular_nodes=angular_nodes)
+
+
+@pytest.mark.parametrize("trunc_levels", [2.5, 0.5, math.inf, math.nan])
+@pytest.mark.parametrize("check", [kp_identity_check, gk_identity_check])
+def test_non_integer_trunc_levels_is_value_error(check, trunc_levels):
+    with pytest.raises(ValueError, match="trunc_levels"):
+        check(P22, trunc_levels=trunc_levels)
