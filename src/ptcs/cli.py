@@ -230,7 +230,6 @@ def cmd_wavefunction(config):
     label, state, family = _build_state(config)
     params = config.params()
     grid = gauss_legendre_grid(params, config.grid)
-    psi0 = wavefunction(params, state, grid)
     evolved = evolve_coefficients(state, config.t)
     psi = wavefunction(params, evolved, grid)
     density_integral = grid_inner_product(grid, psi, psi).real
@@ -247,7 +246,7 @@ def cmd_wavefunction(config):
     columns = ["x", "re_psi", "im_psi", "abs2_psi"]
     cols = [grid.nodes, psi.real, psi.imag, np.abs(psi) ** 2]
     if config.autocorr:
-        auto = abs(grid_inner_product(grid, psi0, psi))
+        auto = abs(grid_inner_product(grid, wavefunction(params, state, grid), psi))
         meta["autocorr_abs"] = auto
         columns.append("autocorr_abs")
         cols.append(np.full(grid.nodes.size, auto))

@@ -196,6 +196,20 @@ class TestWavefunction:
         assert float(meta["autocorr_abs"]) == pytest.approx(1.0, abs=1e-10)
         assert float(rows[0][-1]) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("flags,calls", [((), 1), (("--autocorr",), 2)])
+    def test_initial_wavefunction_only_under_autocorr(self, capsys, monkeypatch, flags, calls):
+        seen, original = [], ptcs.cli.wavefunction
+
+        def counting(*args):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ptcs.cli, "wavefunction", counting)
+        code, out, _ = run(capsys, "wavefunction", *BASE, "--z-re", "1.0", "--dim", "80",
+                           "--grid", "200", "--t", "0.9", *flags)
+        assert code == EXIT_OK and out
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("grid", ["0", "1", "-5"])
     def test_grid_below_two_is_usage_error(self, capsys, grid):
         code, out, err = run(capsys, "wavefunction", *BASE, "--z-re", "1", f"--grid={grid}")

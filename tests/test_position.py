@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ptcs.position
 from ptcs.operators import PotentialParams, energy
 from ptcs.position import (
     PositionGrid,
     QuadratureRule,
+    _gauss_legendre,
     eigenfunction,
     eigenfunction_table,
     gauss_legendre_grid,
@@ -20,7 +22,7 @@ from ptcs.position import (
     superpotential,
     wavefunction,
 )
-from ptcs.specfun import jacobi_poly_all, log_gamma
+from ptcs.specfun import ConvergenceError, jacobi_poly_all, log_gamma
 from ptcs.states import (
     GKLabel,
     ISLabel,
@@ -39,7 +41,7 @@ H_STENCIL = math.pi / 4096.0
 
 @pytest.fixture(scope="module")
 def grid2000():
-    """The 2000-node Gauss-Legendre grid on (0, pi); leggauss(2000) takes ~0.6 s."""
+    """The 2000-node Gauss-Legendre grid on (0, pi), shared by the dim-2000 tests."""
     return gauss_legendre_grid(P22, 2000)
 
 
@@ -67,6 +69,20 @@ class TestGrids:
         assert np.all(grid.nodes > 0.0)
         assert np.all(grid.nodes < math.pi * 1.7)
         assert float(np.sum(grid.weights)) == pytest.approx(math.pi * 1.7, rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf, "400", None, 1, 0, -3.0])
+    def test_gauss_legendre_size_must_be_an_integer_of_at_least_two(self, bad):
+        with pytest.raises(ValueError, match="n_nodes"):
+            gauss_legendre_grid(P22, bad)
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "3", None, 0, -1.0])
+    def test_open_simpson_size_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match="n_panels"):
+            open_simpson_grid(P22, bad)
+
+    def test_integral_float_sizes_are_accepted(self):
+        assert np.array_equal(gauss_legendre_grid(P22, 3.0).nodes, gauss_legendre_grid(P22, 3).nodes)
+        assert np.array_equal(open_simpson_grid(P22, 3.0).nodes, open_simpson_grid(P22, 3).nodes)
 
     def test_open_simpson_integrates_smooth_vanishing_function(self):
         grid = open_simpson_grid(P22, 400)
@@ -105,6 +121,65 @@ class TestGrids:
                 rule=QuadratureRule.GAUSS_LEGENDRE,
                 length=math.pi,
             )
+
+
+class TestGaussLegendreRule:
+    """The O(n) rule on [-1, 1] behind `gauss_legendre_grid`."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 30, 120, 399, 400, 2000])
+    def test_nodes_match_leggauss_and_mirror_exactly(self, n):
+        x, w = _gauss_legendre(n)
+        ref = np.polynomial.legendre.leggauss(n)[0]
+        assert float(np.max(np.abs(x - ref))) <= 2.3e-16
+        assert np.all(np.diff(x) > 0.0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        if n % 2:
+            assert x[n // 2] == 0.0
+
+    @pytest.mark.parametrize("n", [30, 400, 2000])
+    def test_weights_match_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        x, w = _gauss_legendre(n)
+        # the 8 outermost nodes and 8 more spread over the rest of one half;
+        # the other half is the exact mirror image
+        picks = sorted(set(range(8)) | set(np.linspace(8, n // 2, 8).astype(int).tolist()))
+        worst = 0.0
+        with mpmath.workdps(40):
+            for i in picks:
+                root = mpmath.mpf(float(x[i]))
+                for _ in range(3):  # Newton from a node that is already ~1 ulp off
+                    prev, cur = mpmath.mpf(1), root
+                    for k in range(1, n):
+                        prev, cur = cur, ((2 * k + 1) * root * cur - k * prev) / (k + 1)
+                    slope = n * (root * cur - prev) / (root * root - 1)
+                    root -= cur / slope
+                ref = 2 / ((1 - root * root) * slope * slope)
+                worst = max(worst, float(abs(w[i] - ref) / ref))
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 30, 400])
+    def test_exact_for_every_degree_below_2n(self, n):
+        x, w = _gauss_legendre(n)
+        moments = w @ np.polynomial.legendre.legvander(x, 2 * n - 1)
+        expected = np.zeros(2 * n)
+        expected[0] = 2.0
+        assert float(np.max(np.abs(moments - expected))) <= 1e-13
+
+    def test_grid_2000_peak_memory_is_linear(self):
+        # leggauss(2000) takes the eigenvalues of a dense 2000 x 2000 matrix: 32 MB
+        tracemalloc.start()
+        try:
+            gauss_legendre_grid(P22, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_step_cap_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(ptcs.position, "_NEWTON_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="n = 400") as info:
+            _gauss_legendre(400)
+        assert info.value.terms_used == 1 and info.value.last_term > 1e-16
 
 
 class TestPotential:
