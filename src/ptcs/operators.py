@@ -15,6 +15,7 @@ between threads.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +159,15 @@ class OperatorSet:
     params: PotentialParams
 
 
+def _count(value, name, least):
+    """value as an int; ValueError naming ``name`` unless it is an integer >= least."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value % 1 == 0):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
 def _levels(n):
     """n as a float, or a level array as floats; ValueError unless all are integers >= 0."""
     arr = np.asarray(n, dtype=float)
@@ -212,8 +222,7 @@ def build_matrices(params, dim):
     products such as the commutator; the diagonal product a+ a- equals
     diag(e_n) exactly on all dim entries because the ladder phases cancel.
     """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
+    dim = _count(dim, "dim", 2)
     levels = np.arange(dim)
     d = ladder_down_amplitude(params, levels[1:])
     r2, zero, off = math.sqrt(2.0), np.zeros(dim), np.zeros(dim - 1)

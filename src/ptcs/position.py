@@ -13,13 +13,12 @@ break the factorization against the potential as defined below.)
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .operators import _levels
+from .operators import _count, _levels
 from .specfun import ConvergenceError, jacobi_poly_all, log_gamma
 
 __all__ = [
@@ -67,15 +66,6 @@ class PositionGrid:
             raise ValueError(
                 f"weights sum to {total}, expected the interval length {self.length}"
             )
-
-
-def _count(value, name, least):
-    """value as an int; ValueError naming ``name`` unless it is an integer >= least."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value % 1 == 0):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
-    return int(value)
 
 
 # from Tricomi's starting values Newton takes 3 to 5 steps (every n < 1200,

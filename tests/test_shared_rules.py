@@ -2,9 +2,11 @@
 
 The three convergent series share one kernel and its stop rule, a+ is
 read off a- as its adjoint, the truncation flag is derived from the tail
-bound, and the three constructors share one geometric tail majorant.
-Each test below compares the shared definition with a copy of the
-per-site code it replaced, bit for bit.
+bound, the three constructors share one geometric tail majorant, and
+the closed-form layer validates dim by one rule.
+Where a shared definition replaced per-site code, its test compares the
+two bit for bit; the parity-pair tail of the minimum-uncertainty states
+is pinned to its formula to 1e-13.
 """
 
 import math
@@ -18,6 +20,7 @@ from ptcs.operators import (
     TAIL_WARN,
     PotentialParams,
     StateVector,
+    build_matrices,
     energy,
     ladder_down_amplitude,
     ladder_up_amplitude,
@@ -309,9 +312,13 @@ def gk_tail_expression(params, label, dim):
     return (mags[-1] ** 2) * (r * r / energy(params, dim)) / (1.0 - q) if q < 1.0 else math.inf
 
 
-def is_tail_expression(c):
-    ratio = (abs(c[-1]) / abs(c[-2])) ** 2
-    return abs(c[-1]) ** 2 * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+def is_tail_expression(c, lam):
+    m = np.abs(c) ** 2
+    last = m[-1] + m[-2]
+    if last == 0.0:
+        return 0.0
+    q = max(abs(1.0 - lam) ** 2 / abs(1.0 + lam) ** 2, last / (m[-3] + m[-4]))  # parity pairs
+    return 2.0 * last * q / (1.0 - q) if q < 1.0 else math.inf
 
 
 class TestGeometricTail:
@@ -336,6 +343,32 @@ class TestGeometricTail:
     @pytest.mark.parametrize("params", [P22, PASYM])
     @pytest.mark.parametrize("dim", [10, 120])
     def test_is(self, params, dim):
-        for z, lam in ((0.3, 1.0), (1.0 + 0.5j, 0.5 + 0.2j), (2.0, 2.5 - 0.7j)):
+        for z, lam in ((0.3, 1.0), (1.0 + 0.5j, 0.5 + 0.2j), (2.0, 2.5 - 0.7j), (0.8, 0.02 + 0.3j), (0.0, 0.5)):
             state = is_coefficients(params, ISLabel(z=z, lam=lam, alpha=params.alpha), dim)
-            assert state.tail_bound == is_tail_expression(state.coeffs)
+            assert state.tail_bound == pytest.approx(is_tail_expression(state.coeffs, lam), rel=1e-13)
+        assert math.isinf(is_coefficients(params, ISLabel(z=0.8, lam=1j, alpha=params.alpha), dim).tail_bound)
+
+
+# ---------------------------------------------------------------------------
+# one rule for dim in the closed-form layer
+# ---------------------------------------------------------------------------
+
+
+DIM_TAKERS = {
+    "kp": lambda dim: kp_coefficients(P22, KPLabel(zeta=0.3), dim).dim,
+    "gk": lambda dim: gk_coefficients(P22, GKLabel(z=0.5), dim).dim,
+    "is": lambda dim: is_coefficients(P22, ISLabel(z=0.5, lam=1.0), dim).dim,
+    "matrices": lambda dim: build_matrices(P22, dim).h.diag.size,
+}
+
+
+class TestDimRule:
+    @pytest.mark.parametrize("dim", [2.5, math.nan, math.inf, "5", None, 1j, 0, -3])
+    @pytest.mark.parametrize("taker", sorted(DIM_TAKERS))
+    def test_bad_dim_is_a_value_error_naming_dim(self, taker, dim):
+        with pytest.raises(ValueError, match="^dim must be"):
+            DIM_TAKERS[taker](dim)
+
+    @pytest.mark.parametrize("taker", sorted(DIM_TAKERS))
+    def test_integral_float_dim_is_accepted(self, taker):
+        assert DIM_TAKERS[taker](3.0) == 3

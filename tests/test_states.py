@@ -3,11 +3,19 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ptcs.operators import PotentialParams, StateVector, build_matrices, expectation, variance_pair
+from ptcs.operators import (
+    PotentialParams,
+    StateVector,
+    build_matrices,
+    expectation,
+    ladder_down_amplitude,
+    variance_pair,
+)
 from ptcs.specfun import bessel_i, log_gamma
 from ptcs.states import (
     GKLabel,
@@ -273,6 +281,36 @@ class TestGKMeanG:
             gk_mean_g(P22, -0.1)
 
 
+def is_loop_reference(params, label, dim):
+    """The per-level numpy loop that built minimum-uncertainty states before the two-term recurrence."""
+    lam = complex(label.lam)
+    z = complex(label.z)
+    down = ladder_down_amplitude(dataclasses.replace(params, alpha=label.alpha), np.arange(1, dim))
+    up = down.conj()
+    c = np.zeros(dim, dtype=complex)
+    c[0] = 1.0
+    for n in range(dim - 1):
+        lower = (1.0 - lam) * up[n - 1] * c[n - 1] if n >= 1 else 0.0
+        c[n + 1] = (2.0 * z * c[n] - lower) / ((1.0 + lam) * down[n])
+        if not np.isfinite(c[n + 1]) or abs(c[n + 1]) > 1e140:
+            raise ArithmeticError(f"recursion diverged at level {n + 1}")
+    c = c / np.linalg.norm(c)
+    if c[0] != 0:
+        c = c * (c[0].conjugate() / abs(c[0]))
+    return c
+
+
+def is_sample(seed, count, re_lam):
+    """Seeded (params, label, dim) draws; re_lam(rng) draws Re(lambda)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        kappa, kappap = rng.uniform(1.1, 4.0, 2)
+        alpha = float(rng.uniform(0.0, 1.0))
+        lam = complex(re_lam(rng), rng.uniform(-1.0, 1.0))
+        z = complex(*rng.uniform(-3.0, 3.0, 2))
+        yield PotentialParams(kappa, kappap, alpha=alpha), ISLabel(z=z, lam=lam, alpha=alpha), int(rng.integers(4, 160))
+
+
 class TestISCoefficients:
     def test_lambda_one_reduces_to_gk(self):
         for z in (0.3, 0.8, 1.2 + 0.5j):
@@ -305,6 +343,52 @@ class TestISCoefficients:
         # Re(lambda) < 0 makes both solutions grow geometrically
         with pytest.raises(ArithmeticError, match="diverged"):
             is_coefficients(P22, ISLabel(z=0.5, lam=-3.0), 2500)
+
+    def test_agrees_with_the_three_term_loop(self):
+        rng = np.random.default_rng(22)
+        for dim in (2, 3, 120, 2000, 4000):
+            for _ in range(4):
+                alpha = float(rng.uniform(0.0, 1.0))
+                params = PotentialParams(*rng.uniform(1.1, 4.0, 2), alpha=alpha)
+                lam = complex(rng.uniform(0.1, 3.0), rng.uniform(-1.0, 1.0))
+                label = ISLabel(z=complex(*rng.uniform(-3.0, 3.0, 2)), lam=lam, alpha=alpha)
+                ref = is_loop_reference(params, label, dim)
+                got = is_coefficients(params, label, dim).coeffs
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_large_amplitude_builds(self):
+        # the coefficients peak near 3e167 before normalization, which the
+        # three-term loop refused as a divergence at level 195
+        dim = 4000
+        st = is_coefficients(P22, ISLabel(z=400.0, lam=1.0), dim)
+        assert st.norm_deficit() <= 1e-12
+        ops = build_matrices(st.params, dim)
+        resid = 2.0 * ops.a_minus.apply(st.coeffs) - 800.0 * st.coeffs
+        assert np.linalg.norm(resid[:-1]) <= 1e-10
+
+    def test_overflow_raises_naming_parameters_and_label(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=r"non-finite.*kappa = 2\.0, kappa' = 2\.0.*ISLabel\(z=800"):
+                is_coefficients(P22, ISLabel(z=800.0, lam=1.0), 4000)
+
+    def test_tail_bound_covers_the_mass_beyond_dim(self):
+        # reference: the mass beyond dim of the state built on 8 dim levels
+        def slow_or_any(rng):
+            return rng.choice([0.01, 0.05, rng.uniform(0.1, 3.0)])
+
+        for params, label, dim in is_sample(12, 1500, slow_or_any):
+            tail = is_coefficients(params, label, dim).tail_bound
+            ref = np.abs(is_coefficients(params, label, 8 * dim).coeffs) ** 2
+            assert tail >= (1.0 - 1e-9) * np.sum(ref[dim:]), (label, dim)
+
+    def test_tail_bound_is_infinite_without_a_normalizable_state(self):
+        for params, label, dim in is_sample(13, 200, lambda rng: 0.0):
+            assert math.isinf(is_coefficients(params, label, dim).tail_bound), (label, dim)
+
+    def test_tail_bound_vanishes_once_the_recursion_stops(self):
+        # z = 0, lambda = 1: c_1 = c_2 = 0, hence every later level
+        assert is_coefficients(P22, ISLabel(z=0.0, lam=1.0), 30).tail_bound == 0.0
 
     @pytest.mark.parametrize("lam", [-0.5 + 0.2j, -0.01, -2.0 - 1.0j])
     def test_negative_real_lambda_raises_naming_lambda(self, lam):
