@@ -15,10 +15,11 @@ between threads.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .specfun import _count, _levels
 
 __all__ = [
     "PotentialParams",
@@ -157,23 +158,6 @@ class OperatorSet:
     w: OperatorMatrix
     p: OperatorMatrix
     params: PotentialParams
-
-
-def _count(value, name, least):
-    """value as an int; ValueError naming ``name`` unless it is an integer >= least."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value % 1 == 0):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
-    return int(value)
-
-
-def _levels(n):
-    """n as a float, or a level array as floats; ValueError unless all are integers >= 0."""
-    arr = np.asarray(n, dtype=float)
-    if not np.all(np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr))):
-        raise ValueError(f"level index must be a nonnegative integer, got {n!r}")
-    return float(arr) if arr.ndim == 0 else arr
 
 
 def energy(params, n):

@@ -18,8 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operators import _count, _levels
-from .specfun import ConvergenceError, jacobi_poly_all, log_gamma
+from .specfun import ConvergenceError, _count, _levels, jacobi_poly_all, log_gamma
 
 __all__ = [
     "QuadratureRule",
@@ -212,7 +211,7 @@ def norm_constant(params, n):
 
 def eigenfunction(params, n, x):
     """Normalized bound state psi_n(x)."""
-    x = _check_interior(params, x)
+    n = _count(n, "n", 0)
     return eigenfunction_table(params, n, x)[n]
 
 

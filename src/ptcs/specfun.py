@@ -11,9 +11,14 @@ against slow independent oracles.  bessel_i, hyp0f1 and jacobi_fn_ss
 give a first term and a term ratio to one series kernel and its stop rule.
 
 All functions are pure and hold no global mutable state.
+
+Both count rules of the package live here, below every other module:
+_count for a dim, degree, node count or term budget (3.0 is read as 3)
+and _levels for a level index or array.  NaN fails every real bound.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +52,24 @@ class ConvergenceError(ArithmeticError):
         self.last_term = last_term
 
 
+def _count(value, name, least):
+    """value as an int; ValueError naming ``name`` unless it is an integer >= least."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value % 1 == 0):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
+def _levels(n, name="level index"):
+    """n as a float, or a level array as floats; ValueError naming ``name`` unless all are integers >= 0."""
+    arr = np.asarray(n)
+    arr = arr.astype(float, copy=False) if arr.dtype.kind in "iuf" else np.array(math.nan)
+    if not np.all(np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr))):
+        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+    return float(arr) if arr.ndim == 0 else arr
+
+
 @dataclass(frozen=True)
 class SeriesControl:
     """Truncation policy for infinite series.
@@ -61,8 +84,7 @@ class SeriesControl:
     rel_tol: float = 1e-15
 
     def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+        object.__setattr__(self, "max_terms", _count(self.max_terms, "max_terms", 1))
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
 
@@ -158,12 +180,11 @@ def gamma_ratio(n, s):
     moderate n used throughout (an equivalent log-gamma path is checked
     against it in the tests).
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if s <= 0.0:
+    n = _count(n, "n", 0)
+    if not s > 0.0:
         raise ValueError(f"s must be positive, got {s}")
     acc = 1.0
-    for j in range(1, int(n) + 1):
+    for j in range(1, n + 1):
         acc *= (j + s) / j
     return acc
 
@@ -174,9 +195,7 @@ def jacobi_poly(n, alpha, beta, u):
     Seeds P_0 = 1 and P_1 = (alpha+1) + (alpha+beta+2)(u-1)/2.  Accepts a
     scalar or ndarray argument u in [-1, 1].
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"polynomial degree must be a nonnegative integer, got {n!r}")
-    return jacobi_poly_all(int(n), alpha, beta, u)[-1]
+    return jacobi_poly_all(_count(n, "n", 0), alpha, beta, u)[-1]
 
 
 def jacobi_poly_all(nmax, alpha, beta, u):
@@ -189,9 +208,8 @@ def jacobi_poly_all(nmax, alpha, beta, u):
     (c2 * P_{k-1} - c3 * P_{k-2}) / c1, and the only (nmax+1, *u.shape)
     array allocated is the result.
     """
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    if alpha <= -1.0 or beta <= -1.0:
+    nmax = _count(nmax, "nmax", 0)
+    if not (alpha > -1.0 and beta > -1.0):
         raise ValueError("Jacobi parameters must exceed -1")
     u = np.asarray(u, dtype=float)
     if not np.all(np.abs(u) <= 1.0 + 1e-12):
@@ -246,9 +264,9 @@ def bessel_i(nu, x, control=DEFAULT_CONTROL):
     positive, so the sum carries no cancellation and is accurate to a few
     ulp over the working range x <= 100.
     """
-    if nu < 0.0:
+    if not nu >= 0.0:
         raise ValueError(f"order must be >= 0, got {nu}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"argument must be >= 0, got {x}")
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
@@ -314,9 +332,9 @@ def hyp0f1(b, x, control=DEFAULT_CONTROL):
 
     Positive-term series for x >= 0, b > 0; converges factorially fast.
     """
-    if b <= 0.0:
+    if not b > 0.0:
         raise ValueError(f"parameter must be > 0, got {b}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"argument must be >= 0, got {x}")
     return _series(1.0, lambda k: x / (k * (b + k - 1.0)), control, f"0F1({b}; {x})")
 
@@ -340,7 +358,7 @@ def jacobi_fn_ss(l, m, n, x, control=DEFAULT_CONTROL):
 
     Requires m - n integral and x >= 0.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"argument must be >= 0, got {x}")
     diff = m - n
     if abs(diff - round(diff)) > 1e-9:

@@ -28,13 +28,12 @@ from .operators import (
     TAIL_WARN,  # re-exported: the threshold of StateVector.under_truncated
     StateVector,
     _check_phase,
-    _count,
     energy,
     ladder_down_amplitude,
     variance_pair,
 )
 from .report import VerifyReport
-from .specfun import bessel_i, hyp0f1, log_gamma
+from .specfun import _count, bessel_i, hyp0f1, log_gamma
 
 __all__ = [
     "KPLabel",
@@ -152,8 +151,6 @@ def kp_coefficients(params, label, dim):
     """
     dim = _count(dim, "dim", 1)
     zeta = complex(label.zeta)
-    if abs(zeta) >= 1.0:
-        raise ValueError(f"|zeta| must be < 1, got {abs(zeta)}")
     s = params.strength_sum
     rho2 = abs(zeta) ** 2
     pref = (1.0 - rho2) ** ((s + 1.0) / 2.0)
@@ -265,7 +262,7 @@ def gk_mean_g(params, zmod):
     (1+s) + (2 zmod^2/(1+s)) 0F1(2+s; zmod^2) / 0F1(1+s; zmod^2); bounded
     below by 1+s for every zmod.
     """
-    if zmod < 0.0:
+    if not zmod >= 0.0:
         raise ValueError(f"zmod must be >= 0, got {zmod}")
     s = params.strength_sum
     x = zmod * zmod

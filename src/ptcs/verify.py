@@ -33,6 +33,8 @@ from .operators import StateVector, build_matrices
 from .report import VerifyReport
 from .specfun import (
     ConvergenceError,
+    _count,
+    _levels,
     bessel_k,
     gamma_ratio,
     jacobi_fn_ss,
@@ -77,6 +79,7 @@ def taylor_expm_apply(matrix, vector, tol=1e-20, max_terms=600):
     leaves the float range is an ArithmeticError naming the 1-norm and the
     squaring count.
     """
+    max_terms = _count(max_terms, "max_terms", 1)
     m = np.asarray(matrix, dtype=complex)
     nrm = float(np.linalg.norm(m, 1))
     j = max(0, int(math.ceil(math.log2(nrm)))) if nrm > 1.0 else 0
@@ -154,8 +157,7 @@ def pi_table(params, n_max, j_max):
 
     therefore holds with zero tolerance at every s, scaled by Q^j.
     """
-    if n_max < 0 or j_max < 0:
-        raise ValueError("n_max and j_max must be >= 0")
+    n_max, j_max = _count(n_max, "n_max", 0), _count(j_max, "j_max", 0)
     top = n_max + 2 + j_max  # level j needs rows k <= top - j to feed level j + 1
     e = _energies(params, top)
     level = [1] * (top + 1)  # level[k] = Q^j pi(k, j); slot 0 unused
@@ -181,9 +183,8 @@ def cn_series(params, n, zmod, j_max, table=None):
     be a pi_table for the same params with n_max >= n and the same j_max,
     shared between calls; by default one is built here.
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if zmod < 0.0:
+    n = _count(n, "n", 0)
+    if not zmod >= 0.0:
         raise ValueError(f"zmod must be >= 0, got {zmod}")
     if table is None:
         table = pi_table(params, n, j_max)
@@ -240,8 +241,7 @@ _GL30_NODES, _GL30_WEIGHTS = np.polynomial.legendre.leggauss(30)
 
 def _gl_panels(lo, hi, n_nodes):
     """Composite 30-node Gauss-Legendre nodes/weights over [lo, hi]."""
-    if n_nodes < 1:
-        raise ValueError(f"radial_nodes must be >= 1, got {n_nodes}")
+    n_nodes = _count(n_nodes, "radial_nodes", 1)
     edges = np.linspace(lo, hi, int(math.ceil(n_nodes / 30)) + 1)
     a, b = edges[:-1, None], edges[1:, None]
     half = 0.5 * (b - a)
@@ -262,8 +262,9 @@ def kp_identity_check(params, trunc_levels=20, radial_nodes=200):
     product, while the Beta-integral reduction gives M_nn = 1
     identically (companion exact path, also reported).
     """
-    if not (0 <= trunc_levels <= 20 and trunc_levels % 1 == 0):
-        raise ValueError(f"trunc_levels must be >= 0 and <= 20 and an integer, got {trunc_levels}")
+    trunc_levels = _count(trunc_levels, "trunc_levels", 0)
+    if trunc_levels > 20:
+        raise ValueError(f"trunc_levels must be <= 20, got {trunc_levels}")
     s = params.strength_sum
     u, w = _gl_panels(0.0, 1.0, radial_nodes)
     n = np.arange(trunc_levels + 1.0)
@@ -293,10 +294,10 @@ def gk_moment_oracle(params, n, nu, radial_nodes=200):
     the scalar call bit for bit.  Integrated in the linear domain, it
     leaves the float range at high n (70 at s = 4): an ArithmeticError naming n, nu, s.
     """
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise ValueError(f"nu must be > 0, got {nu}")
     ns = np.ravel(n).tolist()
-    if np.ndim(n) > 1 or not ns or not all(m >= 0 and m == m // 1 for m in ns):
+    if np.ndim(_levels(n, "n")) > 1 or not ns:
         raise ValueError(f"n must be a nonnegative integer or a 1-d array of them, got {n!r}")
     s = params.strength_sum
     mu = 2.0 * max(ns) + s + 2.0  # top moment order in t = 2r
@@ -341,8 +342,7 @@ def gk_identity_check(params, trunc_levels=10, radial_nodes=200):
     index that is sometimes quoted for this measure is evaluated at n = 0
     and recorded in the details as a failing companion value.
     """
-    if not (trunc_levels >= 0 and trunc_levels % 1 == 0):
-        raise ValueError(f"trunc_levels must be >= 0 and an integer, got {trunc_levels}")
+    trunc_levels = _count(trunc_levels, "trunc_levels", 0)
     s = params.strength_sum
     moments = gk_moment_oracle(params, np.arange(trunc_levels + 1), s, radial_nodes)
     halved = gk_moment_oracle(params, 0, s / 2.0, radial_nodes)
@@ -369,8 +369,7 @@ def reconstruction_check(params, f, alpha, radial_nodes=200, angular_nodes=64):
     phases, so the transform and the resynthesis are two matrix products.
     Reports the worst coefficient deviation.
     """
-    if angular_nodes < 1:
-        raise ValueError(f"angular_nodes must be >= 1, got {angular_nodes}")
+    angular_nodes = _count(angular_nodes, "angular_nodes", 1)
     dim = f.dim
     s = params.strength_sum
     u, wu = _gl_panels(0.0, 1.0, radial_nodes)
@@ -402,16 +401,17 @@ def reconstruction_check(params, f, alpha, radial_nodes=200, angular_nodes=64):
 
 
 def _check_displacement(params, dim=120):
-    worst = 0.0
+    worst = tail = 0.0
     for z in (0.2 + 0j, 0.5 + 0.4j, 1.0j):
         oracle = displacement_oracle(params, z, dim)
         closed = kp_from_z(params, z, params.alpha, dim)
         worst = max(worst, float(np.max(np.abs(oracle.coeffs - closed.coeffs))))
+        tail = max(tail, closed.tail_bound)  # the closed form's own truncation at this dim
     return VerifyReport(
         check_name="displacement-equivalence",
         max_deviation=worst,
         tolerance=1e-8,
-        details={"dim": float(dim)},
+        details={"dim": float(dim), "closed_tail_bound": tail},
     )
 
 

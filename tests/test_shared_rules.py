@@ -3,18 +3,21 @@
 The three convergent series share one kernel and its stop rule, a+ is
 read off a- as its adjoint, the truncation flag is derived from the tail
 bound, the three constructors share one geometric tail majorant, and
-the closed-form layer validates dim by one rule.
+every count in the package, dim included, has one rule, defined in
+specfun, with NaN failing every real-domain bound.
 Where a shared definition replaced per-site code, its test compares the
 two bit for bit; the parity-pair tail of the minimum-uncertainty states
 is pinned to its formula to 1e-13.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptcs import operators, states
+from ptcs import operators, position, specfun, states, verify
 from ptcs.operators import (
     PHASE_ULP_MAX,
     TAIL_WARN,
@@ -31,8 +34,11 @@ from ptcs.specfun import (
     _gamma_signed,
     _inv_gamma,
     bessel_i,
+    gamma_ratio,
     hyp0f1,
     jacobi_fn_ss,
+    jacobi_poly,
+    jacobi_poly_all,
     log_gamma,
 )
 from ptcs.states import GKLabel, ISLabel, KPLabel, gk_coefficients, is_coefficients, kp_coefficients
@@ -372,3 +378,96 @@ class TestDimRule:
     @pytest.mark.parametrize("taker", sorted(DIM_TAKERS))
     def test_integral_float_dim_is_accepted(self, taker):
         assert DIM_TAKERS[taker](3.0) == 3
+
+
+# ---------------------------------------------------------------------------
+# one rule for every count in the package, defined in specfun
+# ---------------------------------------------------------------------------
+
+
+X = np.array([0.4, 1.3, 2.9])  # positions inside (0, pi); cos X lies in [-1, 1]
+F4 = StateVector(np.eye(4, dtype=complex)[0], P22)
+NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])  # its Taylor sum stops after two terms
+
+COUNT_TAKERS = {  # site -> (argument, the call with that count)
+    "SeriesControl": ("max_terms", lambda v: SeriesControl(max_terms=v).max_terms),
+    "gamma_ratio": ("n", lambda v: gamma_ratio(v, 4.0)),
+    "jacobi_poly": ("n", lambda v: float(jacobi_poly(v, 0.5, 1.5, 0.3))),
+    "jacobi_poly_all": ("nmax", lambda v: jacobi_poly_all(v, 0.5, 1.5, np.cos(X)).tolist()),
+    "eigenfunction_table": ("nmax", lambda v: position.eigenfunction_table(P22, v, X).tolist()),
+    "eigenfunction": ("n", lambda v: position.eigenfunction(P22, v, X).tolist()),
+    "cn_series": ("n", lambda v: verify.cn_series(P22, v, 0.5, 80)),
+    "pi_table/n_max": ("n_max", lambda v: verify.pi_table(P22, v, 4)),
+    "pi_table/j_max": ("j_max", lambda v: verify.pi_table(P22, 4, v)),
+    "kp_identity_check/radial_nodes": ("radial_nodes", lambda v: verify.kp_identity_check(P22, 3, v).as_dict()),
+    "kp_identity_check/trunc_levels": ("trunc_levels", lambda v: verify.kp_identity_check(P22, v).as_dict()),
+    "gk_identity_check/trunc_levels": ("trunc_levels", lambda v: verify.gk_identity_check(P22, v).as_dict()),
+    "gk_moment_oracle": ("n", lambda v: verify.gk_moment_oracle(P22, v, 4.0)),
+    "reconstruction_check": ("angular_nodes", lambda v: verify.reconstruction_check(P22, F4, 0.0, 200, v).as_dict()),
+    "taylor_expm_apply": ("max_terms", lambda v: verify.taylor_expm_apply(NILPOTENT, [0.0, 1.0], max_terms=v).tolist()),
+}
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("value", [2.5, -1, math.nan, math.inf, "3", None])
+    @pytest.mark.parametrize("site", sorted(COUNT_TAKERS))
+    def test_bad_count_is_a_value_error_naming_it(self, site, value):
+        name, take = COUNT_TAKERS[site]
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            take(value)
+
+    @pytest.mark.parametrize("site", sorted(COUNT_TAKERS))
+    def test_integral_float_is_read_as_the_int(self, site):
+        take = COUNT_TAKERS[site][1]
+        assert take(3.0) == take(3)
+
+    def test_series_control_stores_an_int(self):
+        assert type(SeriesControl(max_terms=3.0).max_terms) is int
+
+    def test_kp_identity_keeps_its_level_cap(self):
+        with pytest.raises(ValueError, match="^trunc_levels must be <= 20"):
+            verify.kp_identity_check(P22, 21)
+
+
+NAN_TAKERS = {  # site -> (the domain check's message, the call); each once gave NaN or a ConvergenceError
+    "bessel_i/nu": ("order", lambda: bessel_i(math.nan, 1.0)),
+    "bessel_i/x": ("argument", lambda: bessel_i(1.0, math.nan)),
+    "hyp0f1/b": ("parameter", lambda: hyp0f1(math.nan, 1.0)),
+    "hyp0f1/x": ("argument", lambda: hyp0f1(1.0, math.nan)),
+    "jacobi_fn_ss/x": ("argument", lambda: jacobi_fn_ss(-2.5, 2.5, 3.5, math.nan)),
+    "gamma_ratio/s": ("s must", lambda: gamma_ratio(3, math.nan)),
+    "jacobi_poly/alpha": ("Jacobi parameters", lambda: jacobi_poly(2, math.nan, 0.5, 0.3)),
+    "jacobi_poly_all/beta": ("Jacobi parameters", lambda: jacobi_poly_all(2, 0.5, math.nan, 0.3)),
+    "cn_series/zmod": ("zmod", lambda: verify.cn_series(P22, 2, math.nan, 80)),
+    "gk_moment_oracle/nu": ("nu", lambda: verify.gk_moment_oracle(P22, 2, math.nan)),
+    "gk_mean_g/zmod": ("zmod", lambda: states.gk_mean_g(P22, math.nan)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NAN_TAKERS))
+def test_nan_fails_the_real_domain_check(site):
+    # a ConvergenceError is an ArithmeticError, so it would not satisfy this
+    message, call = NAN_TAKERS[site]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
+# a count tested by hand: x % 1 == 0, x != int(x), x == x // 1, x.is_integer()
+HAND_ROLLED = re.compile(r"%\s*1\s*[!=]=|[!=]=\s*int\(|//\s*1\b|is_integer\(")
+
+
+class TestOneDefinition:
+    def test_modules_take_the_rules_from_specfun(self):
+        for module in (operators, position, states, verify):
+            assert module._count is specfun._count
+            # states takes no level argument, so it binds _count alone
+            assert getattr(module, "_levels", specfun._levels) is specfun._levels
+
+    def test_no_hand_rolled_integer_test_outside_specfun(self):
+        for path in Path(specfun.__file__).parent.glob("*.py"):
+            if path.name != "specfun.py":
+                assert not HAND_ROLLED.findall(path.read_text()), path.name
+
+    def test_the_pattern_sees_every_form_it_replaced(self):
+        for old in ("n % 1 == 0", "n != int(n)", "m == m // 1", "float(n).is_integer()"):
+            assert HAND_ROLLED.search(old)

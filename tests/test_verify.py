@@ -266,6 +266,17 @@ class TestDisplacementOracle:
         with pytest.raises(ValueError):
             displacement_oracle(P22, 3.0, 50)
 
+    @pytest.mark.parametrize("kappa", [2.0, 30.0])
+    def test_check_reports_the_closed_form_tail(self, kappa):
+        # at kappa = kappa' = 30 the closed form, truncated at dim 120, fails
+        # the check by its own truncation, and the row says so
+        params = PotentialParams(kappa=kappa, kappap=kappa)
+        (row,) = run_suite(params, ["displacement-equivalence"])
+        tail = max(kp_from_z(params, z, 0.0, 120).tail_bound for z in (0.2, 0.5 + 0.4j, 1.0j))
+        assert row.details["closed_tail_bound"] == tail
+        assert row.passed == (kappa == 2.0)
+        assert (tail >= 1e-3) == (kappa == 30.0)
+
 
 def boost_element_closed(p, q, t, weight):
     """<p| exp(t(a+ - a-)) |q> from the disentangled normal-ordered form.
@@ -725,7 +736,9 @@ def test_oracle_imports_from_closed_form_layer_pinned():
     assert imported == {
         "operators": {"StateVector", "build_matrices"},
         "report": {"VerifyReport"},
-        "specfun": {"ConvergenceError", "bessel_k", "gamma_ratio", "jacobi_fn_ss", "log_gamma"},
+        "specfun": {
+            "ConvergenceError", "_count", "_levels", "bessel_k", "gamma_ratio", "jacobi_fn_ss", "log_gamma",
+        },
         "states": {
             "GKLabel", "KPLabel", "evolve", "evolve_coefficients",
             "gk_annihilation_residual", "gk_coefficients", "kp_coefficients", "kp_from_z",
