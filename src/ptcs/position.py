@@ -231,7 +231,7 @@ def eigenfunction_table(params, nmax, x):
     envelope = np.sin(t) ** params.kappa * np.cos(t) ** params.kappap
     norms = np.sqrt(norm_constant(params, np.arange(nmax + 1)))
     polys *= envelope
-    polys /= norms[:, None]
+    polys /= norms.reshape((-1,) + (1,) * x.ndim)
     return polys
 
 

@@ -278,14 +278,6 @@ def bessel_i(nu, x, control=DEFAULT_CONTROL):
 _GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-def _k_cutoff(nu, x):
-    """Truncation point of the K_nu(x) integral: residual integrand below ~1e-326."""
-    t_max = max(math.asinh(nu / x), 1.0)
-    while x * math.cosh(t_max) - nu * t_max < 750.0 and t_max < 120.0:
-        t_max += 0.5
-    return t_max
-
-
 def bessel_k(nu, x):
     """Modified Bessel function K_nu(x) for finite x > 0.
 
@@ -308,7 +300,11 @@ def bessel_k(nu, x):
     flat = xs.ravel()
     if not (math.isfinite(nu) and np.all(np.isfinite(flat) & (flat > 0.0))):
         raise ValueError(f"need finite nu and finite x > 0, got nu={nu}, x={x}")
-    top = np.array([_k_cutoff(nu, xi) for xi in flat.tolist()])
+    # truncation points, where the residual integrand is below ~1e-326: from
+    # asinh(nu/x) (at least 1) in steps of 0.5, all elements in one loop
+    top = np.maximum([math.asinh(r) for r in (nu / flat).tolist()], 1.0)
+    while (short := (flat * np.cosh(top) - nu * top < 750.0) & (top < 120.0)).any():
+        np.add(top, 0.5, out=top, where=short)
     width = np.minimum(0.5, 1.0 / np.sqrt(1.0 + flat))
     lo, total, neg_x = np.zeros_like(flat), np.zeros_like(flat), -flat
     out = np.empty_like(flat)

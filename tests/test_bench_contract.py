@@ -60,3 +60,16 @@ def test_workload_call_contract(bench, name, count):
     assert not forbidden, f"{name} called {forbidden}"
     # the wrappers are gone again: the package's functions are the originals
     assert not hasattr(ptcs.operators.variance_pair, "__wrapped__")
+
+
+def test_first_verify_suite_inputs_pass_the_benchmark_check(bench):
+    # two integer-s and two float-s draws: an oracle change that fails the
+    # benchmark's own check on them would fail benchmark operations
+    workloads, _ = bench
+    wl = workloads.make("verify-suite", PERFBENCH.parent, 601, ptcs, dict(os.environ))
+    wl.prepare()
+    inputs = [wl.input(i) for i in range(4)]
+    assert sum(float(p.strength_sum).is_integer() for p in inputs) == 2
+    for params in inputs:
+        outcome = wl.check(params, wl.op(params))
+        assert outcome.ok, outcome.why

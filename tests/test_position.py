@@ -366,6 +366,35 @@ class TestEigenfunctions:
         assert np.array_equal(eigenfunction_table(params, 150, x), polys * envelope / norms[:, None])
 
     @pytest.mark.parametrize("params", [P22, PASYM])
+    def test_scalar_position_gives_the_one_point_value(self, params):
+        # to an ulp: numpy's power may round a 0-d operand differently
+        for x in (0.3, 1.0, 2.9):
+            assert eigenfunction(params, 2, x) == pytest.approx(eigenfunction(params, 2, [x])[0], rel=1e-15)
+            table = eigenfunction_table(params, 6, x)
+            assert table.shape == (7,)
+            np.testing.assert_allclose(table, eigenfunction_table(params, 6, [x])[:, 0], rtol=1e-15, atol=0)
+
+    def test_position_array_shape_is_kept(self):
+        x = np.linspace(0.3, 2.5, 21)
+        table = eigenfunction_table(P22, 6, x.reshape(7, 3))
+        assert table.shape == (7, 7, 3)
+        assert np.array_equal(table, eigenfunction_table(P22, 6, x).reshape(7, 7, 3))
+
+    @pytest.mark.parametrize("n_nodes", [400, 800])
+    @pytest.mark.parametrize("kappa, kappap", [(2.0, 2.0), (2.0, 3.0), (3.5, 4.0), (2.0, 6.0)])
+    def test_gram_identity_reaches_only_a_fraction_of_the_nodes(self, n_nodes, kappa, kappap):
+        # n nodes resolve the Gram matrix through level ~0.57 n at kappa,
+        # kappa' >= 2 (1227 at n = 2000; lower near the kappa = 1 walls, ~100
+        # at n = 400), so a state with mass past it has a wrong density there
+        params = PotentialParams(kappa, kappap)
+        grid = gauss_legendre_grid(params, n_nodes)
+        good, top = int(0.55 * n_nodes), int(0.65 * n_nodes)
+        table = eigenfunction_table(params, top + 20, grid.nodes)
+        gram = (table * grid.weights) @ table.T - np.eye(top + 21)
+        assert float(np.max(np.abs(gram[: good + 1, : good + 1]))) <= 1e-12
+        assert float(np.max(np.abs(gram[top:, top:]))) > 1e-6
+
+    @pytest.mark.parametrize("params", [P22, PASYM])
     def test_schrodinger_residual(self, params):
         # (-d2/dx2 + V) psi_n = (e_n / a^2) psi_n on an interior band
         xs = np.linspace(0.06 * math.pi * params.a, 0.94 * math.pi * params.a, 150)

@@ -53,6 +53,24 @@ def taylor_vector_loop(matrix, vector, tol=1e-20, max_terms=600):
     return v
 
 
+def taylor_dense_loop(matrix, vector, tol=1e-20, max_terms=600):
+    """The dense-product Taylor loop that built the exponential before the diagonal products."""
+    m = np.asarray(matrix, dtype=complex)
+    nrm = float(np.linalg.norm(m, 1))
+    j = max(0, int(math.ceil(math.log2(nrm)))) if nrm > 1.0 else 0
+    scaled = m / (2.0**j)
+    acc = np.eye(m.shape[0], dtype=complex)
+    term = acc.copy()
+    for k in range(1, max_terms + 1):
+        term = scaled @ term / k
+        acc += term
+        if np.linalg.norm(term) <= tol * np.linalg.norm(acc):
+            break
+    for _ in range(j):
+        acc = acc @ acc
+    return acc @ np.asarray(vector, dtype=complex)
+
+
 def displacement_generator(params, z, dim=120):
     ops = build_matrices(params, dim)
     return z * ops.a_plus.entries - np.conj(z) * ops.a_minus.entries
@@ -194,6 +212,22 @@ class TestTaylorExpmApply:
         e0 = np.eye(120, dtype=complex)[0]
         out = taylor_expm_apply(gen, e0)
         assert float(np.max(np.abs(out - taylor_vector_loop(gen, e0)))) <= 1e-13
+
+    @pytest.mark.parametrize("params", [P22A, PASYM], ids=["integer-s", "float-s"])
+    @pytest.mark.parametrize("z", [0.2 + 0j, 0.5 + 0.4j, 1.0j])
+    def test_diagonal_products_match_dense_loop(self, params, z):
+        gen = displacement_generator(params, z)
+        e0 = np.eye(120, dtype=complex)[0]
+        ref = taylor_dense_loop(gen, e0)
+        assert float(np.max(np.abs(taylor_expm_apply(gen, e0) - ref))) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("offset", [1, -1, 3, -3])
+    def test_nilpotent_shift_gives_inverse_factorials(self, offset):
+        # exp(N) = sum_k N^k / k!, and N^k is the shift by k * offset
+        shift = np.eye(6, k=offset)
+        out = taylor_expm_apply(shift, np.eye(6))
+        ref = sum(np.eye(6, k=k * offset) / math.factorial(k) for k in range(6))
+        assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("z", [0.5 + 0.4j, 1.0j])
     def test_matches_scipy_expm(self, z):
