@@ -82,39 +82,65 @@ def taylor_expm_apply(matrix, vector, tol=1e-20, max_terms=600):
     Deliberately the simplest provably-convergent scheme: this must stay
     dumber than the closed forms it cross-checks.  A sum or square that
     leaves the float range is an ArithmeticError naming the 1-norm and the
-    squaring count.  Each product scaled @ term is summed over the d nonzero
-    diagonals of the scaled matrix, one broadcast product each: O(d n^2) per
-    term, against O(n^3) dense.  A dense matrix has all 2n - 1 diagonals;
-    the displacement generator, the only caller's matrix, has d = 2.
+    squaring count; shapes that do not fit, or a 1-norm that is not finite,
+    a ValueError.  Term k of a matrix with d nonzero diagonals at offsets
+    lo..hi lives on offsets k lo..k hi, so the terms and their sum are kept
+    by diagonals, one broadcast product per diagonal: O(d k n) for term k,
+    against O(n^3) dense.  Each entry adds the dense product's terms in the
+    same order, less exact zeros, so the sum is the dense loop's bit for
+    bit when the stop rule (Frobenius norms) ends at the same term.
     """
     max_terms = _count(max_terms, "max_terms", 1)
     m = np.asarray(matrix, dtype=complex)
-    nrm = float(np.linalg.norm(m, 1))
+    v = np.asarray(vector, dtype=complex)
+    n = len(m) if m.ndim == 2 and m.shape[0] == m.shape[1] else 0
+    if not n or v.ndim not in (1, 2) or len(v) != n:
+        raise ValueError(f"not a square matrix and a vector of its size: {m.shape}, {v.shape}")
+    with np.errstate(over="ignore"):  # a 1-norm past the float range is inf, refused below
+        nrm = float(np.linalg.norm(m, 1))
+    if not math.isfinite(nrm):
+        raise ValueError(f"matrix 1-norm is not finite: {nrm}")
     j = max(0, int(math.ceil(math.log2(nrm)))) if nrm > 1.0 else 0
     scaled = m / (2.0**j)
-    n = m.shape[0]
     rows, cols = np.nonzero(scaled)
-    bands = [(d, np.diagonal(scaled, d)[:, None]) for d in np.unique(cols - rows).tolist()]
-    acc = np.eye(n, dtype=complex)
-    term = acc.copy()
+    offsets = np.unique(cols - rows).tolist() or [0]
+    bands = [(d, max(-d, 0), n - max(d, 0), np.diagonal(scaled, d)) for d in offsets]  # rows i0:i1
+    term, lo = np.ones((1, n), dtype=complex), 0  # term[e - lo, r] = (scaled^k / k!)[r, r + e]
+    acc, alo = term.copy(), 0  # the sum, stored as term is, over the union of the offsets
     try:
         with np.errstate(over="raise", invalid="raise"):
             for k in range(1, max_terms + 1):
-                term, prev = np.zeros_like(term), term
-                for d, band in bands:  # row i gains scaled[i, i + d] * prev[i + d]
-                    term[max(-d, 0) : n - max(d, 0)] += band * prev[max(d, 0) : n + min(d, 0)]
-                term *= 1.0 / k  # what numpy's complex / k computes, without the copy
-                acc += term
-                if _frobenius(term) <= tol * _frobenius(acc):
+                ends = (lo + offsets[0], lo + len(term) - 1 + offsets[-1])
+                new_lo, new_hi = (min(max(e, 1 - n), n - 1) for e in ends)
+                new = np.zeros((new_hi - new_lo + 1, n), dtype=complex)
+                for d, i0, i1, band in bands:  # (i, i+d+e) gains scaled[i, i+d] * term[i+d, i+d+e]
+                    e0, e1 = max(lo, new_lo - d), min(lo + len(term), new_hi + 1 - d)
+                    if e0 < e1:
+                        prod = band * term[e0 - lo : e1 - lo, i0 + d : i1 + d]
+                        new[e0 + d - new_lo : e1 + d - new_lo, i0:i1] += prod
+                new *= 1.0 / k  # what numpy's complex / k computes, without the copy
+                term, lo = new, new_lo
+                glo, ghi = min(alo, lo), max(alo + len(acc), lo + len(term))
+                if (glo, ghi) != (alo, alo + len(acc)):
+                    grown = np.zeros((ghi - glo, n), dtype=complex)
+                    grown[alo - glo : alo - glo + len(acc)] = acc
+                    acc, alo = grown, glo
+                acc[lo - alo : lo - alo + len(term)] += term
+                converged = _frobenius(term) <= tol * _frobenius(acc)
+                if converged:
                     break
-            else:
+            dense = np.zeros((n, n), dtype=complex)
+            flat = dense.reshape(-1)  # sum[r, r + e] is flat[r (n + 1) + e]
+            for e, row in enumerate(acc, alo):
+                flat[max(e, -e * n) :: n + 1][: n - abs(e)] = row[max(-e, 0) : n - max(e, 0)]
+            if not converged:
                 raise ConvergenceError(
-                    f"Taylor exponential did not converge in {max_terms} terms", acc,
+                    f"Taylor exponential did not converge in {max_terms} terms", dense,
                     terms_used=max_terms + 1, last_term=_frobenius(term),
                 )
             for _ in range(j):
-                acc = acc @ acc
-            return acc @ np.asarray(vector, dtype=complex)
+                dense = dense @ dense
+            return dense @ v
     except FloatingPointError as exc:
         raise ArithmeticError(
             f"Taylor exponential left the float range ({exc}): "
@@ -184,6 +210,12 @@ def pi_table(params, n_max, j_max):
     return table
 
 
+def _check_zmod(zmod):
+    """The one domain of |z| for the three c_n routes: finite and >= 0."""
+    if not 0.0 <= zmod < math.inf:
+        raise ValueError(f"zmod must be finite and >= 0, got {zmod}")
+
+
 def cn_series(params, n, zmod, j_max, table=None):
     """Expansion coefficient c_n(|z|) from its alternating nested-sum series.
 
@@ -194,25 +226,32 @@ def cn_series(params, n, zmod, j_max, table=None):
     float is one correctly rounded integer division, so the alternating
     cancellation costs no precision.  Raises ConvergenceError if j_max
     leaves the last term above the convergence threshold.  ``table`` may
-    be a pi_table for the same params with n_max >= n and the same j_max,
-    shared between calls; by default one is built here.
+    be a pi_table for the same strength sum (Q e_1 and Q (e_1 + e_2) are
+    checked), n_max >= n and the same j_max; by default one is built.  A
+    step costs a few big-integer products, and its two divisions are skipped
+    where bit lengths prove the stop test fails (the term above 2^-50 of the
+    sum, and within 2^-1000..2^901 once divided); the last step always
+    tests, so values and errors are those of testing every step.
     """
     n = _count(n, "n", 0)
-    if not zmod >= 0.0:
-        raise ValueError(f"zmod must be >= 0, got {zmod}")
+    _check_zmod(zmod)
     if table is None:
         table = pi_table(params, n, j_max)
     elif (n + 1, j_max) not in table:
         raise ValueError(f"table lacks pi({n + 1}, {j_max}); need n_max >= {n}, j_max = {j_max}")
-    p, q = float(zmod).as_integer_ratio()
-    s_den = float(params.strength_sum).as_integer_ratio()[1]
+    elif j_max and [table[(1, 1)], table[(2, 1)]] != list(accumulate(_energies(params, 3)[1:])):
+        raise ValueError(f"table was built for another strength sum than s = {params.strength_sum}")
+    (p, q), s_den = float(zmod).as_integer_ratio(), float(params.strength_sum).as_integer_ratio()[1]
     num, den, power = 0, math.factorial(n), 1  # sum so far is num / den
     for j in range(j_max + 1):
         top = (-power if j % 2 else power) * table[(n + 1, j)]
         num += top
-        total, last = num / den, abs(top / den)
-        if last <= 1e-16 * max(abs(total), 1e-300):
-            return total
+        bits = top.bit_length()  # the bit lengths that prove the test fails (see above)
+        doomed = top and bits > num.bit_length() - 50 and -900 < den.bit_length() - bits < 1000
+        if j == j_max or not doomed:
+            total, last = num / den, abs(top / den)
+            if last <= 1e-16 * max(abs(total), 1e-300):
+                return total
         step = q * q * s_den * (n + 2 * j + 1) * (n + 2 * j + 2)
         power, num, den = power * p * p, num * step, den * step
     raise ConvergenceError(
@@ -226,6 +265,7 @@ def cn_closed_form(params, n, zmod):
 
     At zmod = 0 the limit tanh(z)/z -> 1 gives c_n(0) = 1/n!.
     """
+    _check_zmod(zmod)
     s = params.strength_sum
     if zmod == 0.0:
         return 1.0 / math.exp(log_gamma(n + 1.0))
@@ -242,6 +282,7 @@ def cn_from_jacobi_fn(params, n, zmod):
     c_n = ss^{-(s+1)/2}_{(s+1)/2, n+(s+1)/2}(cosh 2|z|) / (n! |z|^n);
     the removable zmod = 0 singularity is replaced by its limit 1/n!.
     """
+    _check_zmod(zmod)
     s = params.strength_sum
     if zmod == 0.0:
         return 1.0 / math.exp(log_gamma(n + 1.0))
@@ -429,9 +470,8 @@ def _check_displacement(params, dim=120):
     )
 
 
-def _check_cn_triple(params):
+def _check_cn_triple(params, table):
     j_max = _series_budget(params)
-    table = pi_table(params, 8, j_max)
     worst = 0.0
     for n in range(0, 9):
         for zmod in (0.1, 0.4, 0.9):
@@ -464,12 +504,11 @@ def _check_pi_recursion(params, n_max=10, j_max=5):
     return VerifyReport(check_name="pi-recursion", max_deviation=float(mismatch), tolerance=0.0)
 
 
-def _check_cn_ode(params, zmod=0.5, n_max=6):
+def _check_cn_ode(params, table, zmod=0.5, n_max=6):
     """|z| c_n' = c_{n-1} - n c_n - (n+1)(n+1+s) |z|^2 c_{n+1}, via 5-point stencil."""
     s = params.strength_sum
     h = 1e-3
     j_max = _series_budget(params)
-    table = pi_table(params, n_max + 1, j_max)
 
     @functools.cache  # the stencil and the three levels share points
     def c(k, r):
@@ -491,8 +530,7 @@ def _check_cn_ode(params, zmod=0.5, n_max=6):
     )
 
 
-def _check_gk_measure_index(params):
-    identity = gk_identity_check(params)
+def _check_gk_measure_index(identity):
     good = identity.max_deviation
     bad = identity.details["halved_index_deviation"]
     # pass means: correct index resolves the moments AND the halved index
@@ -560,17 +598,23 @@ def _check_reconstruction(params, dim=12):
     return reconstruction_check(params, f, params.alpha)
 
 
+def _cn_table(params):
+    """The pi_table to n_max = 8 that both c_n checks read."""
+    return pi_table(params, 8, _series_budget(params))
+
+
+# each check gets params and shared(f) = f(params), made at most once per run_suite call
 _SUITE = (
-    ("displacement-equivalence", _check_displacement),
-    ("cn-triple-agreement", _check_cn_triple),
-    ("pi-recursion", _check_pi_recursion),
-    ("cn-ode", _check_cn_ode),
-    ("kp-identity", kp_identity_check),
-    ("kp-reconstruction", _check_reconstruction),
-    ("gk-measure-index", _check_gk_measure_index),
-    ("gk-identity", gk_identity_check),
-    ("gk-action", _check_gk_action),
-    ("temporal-stability", _check_temporal_stability),
+    ("displacement-equivalence", lambda params, shared: _check_displacement(params)),
+    ("cn-triple-agreement", lambda params, shared: _check_cn_triple(params, shared(_cn_table))),
+    ("pi-recursion", lambda params, shared: _check_pi_recursion(params)),
+    ("cn-ode", lambda params, shared: _check_cn_ode(params, shared(_cn_table))),
+    ("kp-identity", lambda params, shared: kp_identity_check(params)),
+    ("kp-reconstruction", lambda params, shared: _check_reconstruction(params)),
+    ("gk-measure-index", lambda params, shared: _check_gk_measure_index(shared(gk_identity_check))),
+    ("gk-identity", lambda params, shared: shared(gk_identity_check)),
+    ("gk-action", lambda params, shared: _check_gk_action(params)),
+    ("temporal-stability", lambda params, shared: _check_temporal_stability(params)),
 )
 
 SUITE_NAMES = tuple(name for name, _ in _SUITE)
@@ -582,4 +626,5 @@ def run_suite(params, names=None):
     unknown = [n for n in names if n not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown check name(s) {unknown}; valid names: {list(SUITE_NAMES)}")
-    return [check(params) for name, check in _SUITE if name in names]
+    shared = functools.cache(lambda make: make(params))  # dropped when this call returns
+    return [check(params, shared) for name, check in _SUITE if name in names]

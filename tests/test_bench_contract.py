@@ -73,3 +73,21 @@ def test_first_verify_suite_inputs_pass_the_benchmark_check(bench):
     for params in inputs:
         outcome = wl.check(params, wl.op(params))
         assert outcome.ok, outcome.why
+
+
+def test_full_suite_digest_equals_per_name_traced_digest(bench):
+    # a traced run calls run_suite once per check name, and run.py fails it
+    # when a digest differs from the untraced full call's: work shared between
+    # the checks of one call must not change a number
+    workloads, tracer_module = bench
+    wl = workloads.make("verify-suite", PERFBENCH.parent, 601, ptcs, dict(os.environ))
+    wl.prepare()
+    inputs = [wl.input(i) for i in range(4)]
+    untraced = [wl.digest(wl.op(params)) for params in inputs]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        traced = [wl.digest(wl.traced_op(params, tracer)[0]) for params in inputs]
+    finally:
+        tracer.uninstall()
+    assert traced == untraced

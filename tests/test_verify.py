@@ -71,6 +71,47 @@ def taylor_dense_loop(matrix, vector, tol=1e-20, max_terms=600):
     return acc @ np.asarray(vector, dtype=complex)
 
 
+def taylor_diagonal_loop(matrix, vector, tol=1e-20, max_terms=600):
+    """Reference: the Taylor loop with dense terms, each product formed from the nonzero diagonals."""
+    m = np.asarray(matrix, dtype=complex)
+    nrm = float(np.linalg.norm(m, 1))
+    j = max(0, int(math.ceil(math.log2(nrm)))) if nrm > 1.0 else 0
+    scaled = m / (2.0**j)
+    n = m.shape[0]
+    rows, cols = np.nonzero(scaled)
+    bands = [(d, np.diagonal(scaled, d)[:, None]) for d in np.unique(cols - rows).tolist()]
+    acc = np.eye(n, dtype=complex)
+    term = acc.copy()
+    for k in range(1, max_terms + 1):
+        term, prev = np.zeros_like(term), term
+        for d, band in bands:
+            term[max(-d, 0) : n - max(d, 0)] += band * prev[max(d, 0) : n + min(d, 0)]
+        term *= 1.0 / k
+        acc += term
+        if verify._frobenius(term) <= tol * verify._frobenius(acc):
+            break
+    for _ in range(j):
+        acc = acc @ acc
+    return acc @ np.asarray(vector, dtype=complex)
+
+
+def cn_series_every_step(params, n, zmod, j_max, table=None):
+    """Reference: the exact cn_series loop that divides and tests at every step."""
+    table = table or pi_table(params, n, j_max)
+    p, q = float(zmod).as_integer_ratio()
+    s_den = float(params.strength_sum).as_integer_ratio()[1]
+    num, den, power = 0, math.factorial(n), 1
+    for j in range(j_max + 1):
+        top = (-power if j % 2 else power) * table[(n + 1, j)]
+        num += top
+        total, last = num / den, abs(top / den)
+        if last <= 1e-16 * max(abs(total), 1e-300):
+            return total
+        step = q * q * s_den * (n + 2 * j + 1) * (n + 2 * j + 2)
+        power, num, den = power * p * p, num * step, den * step
+    raise ConvergenceError("reference series did not converge", total, terms_used=j_max + 1, last_term=last)
+
+
 def displacement_generator(params, z, dim=120):
     ops = build_matrices(params, dim)
     return z * ops.a_plus.entries - np.conj(z) * ops.a_minus.entries
@@ -236,6 +277,52 @@ class TestTaylorExpmApply:
         e0 = np.eye(120, dtype=complex)[0]
         ref = linalg.expm(gen) @ e0
         assert float(np.max(np.abs(taylor_expm_apply(gen, e0) - ref))) <= 1e-13
+
+    @pytest.mark.parametrize("params", [P22A, PASYM], ids=["integer-s", "float-s"])
+    @pytest.mark.parametrize("z", [0.2 + 0j, 0.5 + 0.4j, 1.0j])
+    def test_band_storage_equals_diagonal_loop_on_generators(self, params, z):
+        gen = displacement_generator(params, z)
+        e0 = np.eye(120, dtype=complex)[0]
+        assert np.array_equal(taylor_expm_apply(gen, e0), taylor_diagonal_loop(gen, e0))
+
+    @pytest.mark.parametrize("shape", ["bands-at-minus2-plus5", "dense-12", "n-1"])
+    @pytest.mark.parametrize("scale", [0.3, 6.0], ids=["no-squaring", "squared"])
+    def test_band_storage_equals_diagonal_loop(self, shape, scale):
+        rng = np.random.default_rng(29)
+        if shape == "dense-12":
+            m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        elif shape == "n-1":
+            m = np.array([[0.7 - 0.4j]])
+        else:
+            m = np.diag(rng.normal(size=28) + 0.5j, -2) + np.diag(rng.normal(size=25), 5)
+        m = scale * m
+        n = len(m)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for vector in (v, np.eye(n)):
+            assert np.array_equal(taylor_expm_apply(m, vector), taylor_diagonal_loop(m, vector))
+
+    @pytest.mark.parametrize(
+        "matrix, vector, match",
+        [
+            (np.ones((2, 3)), np.ones(3), r"square matrix and a vector of its size: \(2, 3\), \(3,\)"),
+            (np.ones(3), np.ones(3), r"square matrix and a vector of its size: \(3,\), \(3,\)"),
+            (np.ones((0, 0)), np.ones(0), r"square matrix and a vector of its size: \(0, 0\), \(0,\)"),
+            (np.eye(3), np.ones(4), r"square matrix and a vector of its size: \(3, 3\), \(4,\)"),
+            (np.eye(3), np.ones((2, 3)), r"square matrix and a vector of its size: \(3, 3\), \(2, 3\)"),
+            (np.eye(3), np.ones((3, 1, 1)), r"square matrix and a vector of its size: \(3, 3\), \(3, 1, 1\)"),
+            ([[math.nan, 0.0], [0.0, 0.0]], np.ones(2), "1-norm is not finite: nan"),
+            ([[math.inf, 0.0], [0.0, 0.0]], np.ones(2), "1-norm is not finite: inf"),
+            ([[1e308, 0.0], [1e308, 0.0]], np.ones(2), "1-norm is not finite: inf"),
+        ],
+        ids=["2x3", "1-d", "empty", "short-vector", "wide-vector", "3-d-vector", "nan", "inf", "norm-overflow"],
+    )
+    def test_bad_input_is_value_error(self, matrix, vector, match):
+        with pytest.raises(ValueError, match=match):
+            taylor_expm_apply(matrix, vector)
+
+    def test_nan_amplitude_is_value_error(self):
+        with pytest.raises(ValueError, match="not finite"):
+            displacement_oracle(P22, complex(math.nan, 0.0), 120)
 
 
 class TestOracleFailures:
@@ -478,6 +565,51 @@ class TestCnSeries:
         with pytest.raises(ValueError, match="table lacks"):
             cn_series(P22, 2, 0.4, 80, pi_table(P22, 8, 10))  # j_max too small
 
+    @pytest.mark.parametrize(
+        "params", [P22, PASYM, PotentialParams(kappa=1.7, kappap=2.2)], ids=["integer-s", "float-s", "1.7-2.2"]
+    )
+    def test_skipped_stop_tests_change_no_value(self, params):
+        j_max = verify._series_budget(params)
+        table = pi_table(params, 8, j_max)
+
+        def outcome(series, n, zmod):  # the value, or the attributes of the budget error
+            try:
+                return series(params, n, zmod, j_max, table)
+            except ConvergenceError as err:
+                return err.partial_sum, err.terms_used, err.last_term
+
+        for n in range(9):
+            for zmod in (0.0, 1e-3, 0.1, 0.4, 0.9, 1.3):  # j_max is sized for |z| <= 0.9
+                assert outcome(cn_series, n, zmod) == outcome(cn_series_every_step, n, zmod)
+
+    @pytest.mark.parametrize("params", [P22, PASYM], ids=["integer-s", "float-s"])
+    @pytest.mark.parametrize("n, zmod, j_max", [(4, 0.9, 4), (0, 0.4, 2), (8, 1.3, 20), (3, 0.9, 0)])
+    def test_skipped_stop_tests_keep_the_budget_error(self, params, n, zmod, j_max):
+        with pytest.raises(ConvergenceError) as new:
+            cn_series(params, n, zmod, j_max)
+        with pytest.raises(ConvergenceError) as ref:
+            cn_series_every_step(params, n, zmod, j_max)
+        got, want = new.value, ref.value
+        assert (got.partial_sum, got.terms_used, got.last_term) == (want.partial_sum, want.terms_used, want.last_term)
+
+    @pytest.mark.parametrize(
+        "params, other",
+        [
+            (P22, PotentialParams(kappa=3.0, kappap=3.0)),
+            (PASYM, PotentialParams(kappa=1.7, kappap=2.2)),
+            # s = 2.5 = 5/2 and s = 6 share Q e_1 = 7; Q (e_1 + e_2) is 25 against 23
+            (PotentialParams(kappa=1.25, kappap=1.25), PotentialParams(kappa=3.0, kappap=3.0)),
+        ],
+        ids=["integer-s", "float-s", "same-first-entry"],
+    )
+    def test_table_for_another_strength_sum_rejected(self, params, other):
+        with pytest.raises(ValueError, match="another strength sum"):
+            cn_series(params, 0, 0.5, 70, pi_table(other, 8, 70))
+
+    def test_table_for_the_same_strength_sum_accepted(self):
+        table = pi_table(P22, 8, 70)
+        assert cn_series(PotentialParams(kappa=1.5, kappap=2.5), 3, 0.5, 70, table) == cn_series(P22, 3, 0.5, 70)
+
     def test_insufficient_budget_raises(self):
         with pytest.raises(ConvergenceError):
             cn_series(P22, 4, 0.9, 4)
@@ -539,6 +671,21 @@ def test_series_checks_across_strengths(kappa, kappap):
     assert recursion.passed and recursion.tolerance == 0.0
     assert ode.passed
     assert triple.details["j_max"] == ode.details["j_max"] == verify._series_budget(params)
+
+
+@pytest.mark.parametrize("zmod", [-0.5, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda zmod: cn_series(P22, 0, zmod, 10),
+        lambda zmod: cn_closed_form(P22, 0, zmod),
+        lambda zmod: cn_from_jacobi_fn(P22, 0, zmod),
+    ],
+    ids=["series", "closed-form", "jacobi-fn"],
+)
+def test_cn_routes_share_one_zmod_domain(route, zmod):
+    with pytest.raises(ValueError, match="zmod must be finite and >= 0"):
+        route(zmod)
 
 
 def test_series_budget_capped_above_validated_strengths():
@@ -699,13 +846,28 @@ class TestRunSuite:
 
         monkeypatch.setattr(verify, "gk_moment_oracle", counted)
         run_suite(P22)
-        assert len(calls) == 4  # per gk check: the 11 levels at nu = s, the halved index
+        assert len(calls) == 2  # the 11 levels at nu = s and the halved index, read by both gk checks
         calls.clear()
         for name in SUITE_NAMES:
             run_suite(P22, [name])
         assert len(calls) == 4  # nothing is kept between calls
 
-    def test_suite_makes_eight_bessel_k_calls(self, monkeypatch):
+    def test_suite_builds_pi_table_twice(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return pi_table(*args)
+
+        monkeypatch.setattr(verify, "pi_table", counted)
+        run_suite(P22)
+        assert len(calls) == 2  # one for both c_n checks, one for pi-recursion
+        calls.clear()
+        for name in SUITE_NAMES:
+            run_suite(P22, [name])
+        assert len(calls) == 3  # nothing is kept between calls
+
+    def test_suite_makes_four_bessel_k_calls(self, monkeypatch):
         import ptcs
         import ptcs.specfun
         import ptcs.states
@@ -720,7 +882,7 @@ class TestRunSuite:
             if hasattr(module, "bessel_k"):
                 monkeypatch.setattr(module, "bessel_k", counted)
         run_suite(P22)
-        assert len(calls) == 8  # cutoff search and nodes, per moment call
+        assert len(calls) == 4  # cutoff search and nodes, per moment call
 
     def test_cn_ode_evaluates_each_point_once(self, monkeypatch):
         calls = []
