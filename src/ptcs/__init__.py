@@ -3,74 +3,15 @@
 Three families on one truncated eigenbasis (displacement orbit,
 lowering-eigenstate, minimum-uncertainty), their position-space
 wavefunctions, and a verification layer of independent oracles for every
-closed form involved.
+closed form involved.  Each library module's ``__all__`` declares its
+public names, re-exported here; ``ptcs.cli`` is not imported.
 """
 
-from .operators import (
-    OperatorMatrix,
-    OperatorSet,
-    PotentialParams,
-    StateVector,
-    build_matrices,
-    energy,
-    expectation,
-    g_value,
-    ladder_down_amplitude,
-    ladder_up_amplitude,
-    variance_pair,
-)
-from .position import (
-    PositionGrid,
-    QuadratureRule,
-    eigenfunction,
-    gauss_legendre_grid,
-    norm_constant,
-    open_simpson_grid,
-    potential,
-    superpotential,
-    wavefunction,
-)
-from .report import VerifyReport
-from .specfun import (
-    ConvergenceError,
-    SeriesControl,
-    bessel_i,
-    bessel_k,
-    gamma_ratio,
-    hyp0f1,
-    jacobi_fn_ss,
-    jacobi_poly,
-    log_gamma,
-)
-from .states import (
-    GKLabel,
-    ISLabel,
-    KPLabel,
-    analytic_repr,
-    evolve,
-    evolve_coefficients,
-    gk_annihilation_residual,
-    gk_coefficients,
-    gk_mean_g,
-    is_coefficients,
-    is_minimization_report,
-    kp_coefficients,
-    kp_from_z,
-    kp_kernel,
-)
-from .verify import (
-    SUITE_NAMES,
-    cn_closed_form,
-    cn_from_jacobi_fn,
-    cn_series,
-    displacement_oracle,
-    gk_identity_check,
-    gk_moment_oracle,
-    kp_identity_check,
-    pi_table,
-    reconstruction_check,
-    run_suite,
-    taylor_expm_apply,
-)
+from .operators import *
+from .position import *
+from .report import *
+from .specfun import *
+from .states import *
+from .verify import *
 
 __version__ = "0.1.0"

@@ -371,7 +371,7 @@ def main(argv=None):
         config.params()  # validate bounds before doing any work
         config.label()  # validates the label flags too
         return _COMMANDS[config.command][0](config)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"pt-cs: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # ConvergenceError included

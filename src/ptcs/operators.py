@@ -70,6 +70,13 @@ class PotentialParams:
         return self.kappa + self.kappap
 
 
+def _check_well(params, state):
+    """Refuse a state on another well (kappa, kappa' or a differ); evolution may shift alpha."""
+    p, q = params, state.params
+    if (p.kappa, p.kappap, p.a) != (q.kappa, q.kappap, q.a):
+        raise ValueError(f"state built on {q}, not on {p}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Truncated eigenbasis expansion sum_n c_n |psi_n>.
@@ -90,8 +97,8 @@ class StateVector:
         object.__setattr__(self, "coeffs", c)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coefficients must form a nonempty 1-d vector")
-        if self.tail_bound < 0.0:
-            raise ValueError("tail_bound must be >= 0")
+        if not self.tail_bound >= 0.0:  # NaN included
+            raise ValueError(f"tail_bound must be >= 0, got {self.tail_bound}")
 
     @property
     def dim(self):

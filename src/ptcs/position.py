@@ -18,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from .operators import _check_well
 from .specfun import ConvergenceError, _count, _levels, jacobi_poly_all, log_gamma
 
 __all__ = [
@@ -239,8 +240,12 @@ def wavefunction(params, state, grid):
     """Coherent-state wavefunction Psi(x_j) = sum_n c_n psi_n(x_j) on a grid.
 
     The real table meets the real and imaginary parts of the coefficients
-    in two real products, so no complex copy of the table is made.
+    in two real products, so no complex copy of the table is made.  The
+    state and the grid must belong to the well of params (alpha aside).
     """
+    _check_well(params, state)
+    if grid.length != math.pi * params.a:
+        raise ValueError(f"grid spans {grid.length}, not pi a = {math.pi * params.a}")
     table = eigenfunction_table(params, state.dim - 1, grid.nodes)
     psi = np.empty(table.shape[1:], dtype=complex)
     psi.real = state.coeffs.real @ table

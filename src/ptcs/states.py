@@ -28,6 +28,7 @@ from .operators import (
     TAIL_WARN,  # re-exported: the threshold of StateVector.under_truncated
     StateVector,
     _check_phase,
+    _check_well,
     energy,
     ladder_down_amplitude,
     variance_pair,
@@ -256,17 +257,25 @@ def gk_annihilation_residual(params, label, dim):
     return float(np.linalg.norm(lowered - complex(label.z) * c[:-1]))
 
 
+def _check_zmod(zmod):
+    """The one domain of |z| = zmod (gk_mean_g and the c_n oracles): finite and >= 0."""
+    if not 0.0 <= zmod < math.inf:
+        raise ValueError(f"zmod must be finite and >= 0, got {zmod}")
+
+
 def gk_mean_g(params, zmod):
     """Closed form for <G> on a lowering-eigenstate of modulus |z| = zmod.
 
     (1+s) + (2 zmod^2/(1+s)) 0F1(2+s; zmod^2) / 0F1(1+s; zmod^2); bounded
-    below by 1+s for every zmod.
+    below by 1+s for every zmod; ArithmeticError past 0F1's float range.
     """
-    if not zmod >= 0.0:
-        raise ValueError(f"zmod must be >= 0, got {zmod}")
+    _check_zmod(zmod)
     s = params.strength_sum
     x = zmod * zmod
-    return (1.0 + s) + (2.0 * x / (1.0 + s)) * hyp0f1(2.0 + s, x) / hyp0f1(1.0 + s, x)
+    upper, lower = hyp0f1(2.0 + s, x), hyp0f1(1.0 + s, x)
+    if not (math.isfinite(upper) and math.isfinite(lower)):
+        raise ArithmeticError(f"0F1 left the float range at zmod = {zmod}, s = {s}")
+    return (1.0 + s) + (2.0 * x / (1.0 + s)) * upper / lower
 
 
 def is_coefficients(params, label, dim):
@@ -354,8 +363,10 @@ def analytic_repr(params, f, label):
     |f> completely, and integrating it against the family with the
     invariant disc measure reconstructs |f> (checked in the verification
     layer).  The phase carries the sign conjugation requires, so that the
-    transform of a family member is exactly the reproducing kernel.
+    transform of a family member is exactly the reproducing kernel.  f
+    must belong to the well of params (alpha aside).
     """
+    _check_well(params, f)
     state = kp_coefficients(params, label, f.dim)
     if state.under_truncated or f.under_truncated:
         warnings.warn(

@@ -29,7 +29,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .operators import StateVector, build_matrices
+from .operators import StateVector, _check_well, build_matrices
 from .report import VerifyReport
 from .specfun import (
     ConvergenceError,
@@ -43,6 +43,7 @@ from .specfun import (
 from .states import (
     GKLabel,
     KPLabel,
+    _check_zmod,
     evolve,
     evolve_coefficients,
     gk_annihilation_residual,
@@ -66,18 +67,21 @@ __all__ = [
     "SUITE_NAMES",
 ]
 
+_CN_N_MAX = 8  # top level of the two c_n checks and of the pi_table they share
+_RADIAL_NODES = 200  # the default radial rule of the four quadrature checks
+
 
 def _frobenius(a):
     """Frobenius norm of a complex array, from one vdot."""
     return math.sqrt(np.vdot(a, a).real)
 
 
-def taylor_expm_apply(matrix, vector, tol=1e-20, max_terms=600):
+def taylor_expm_apply(matrix, vector, max_terms=600):
     """exp(matrix) @ vector by scaling and squaring a Taylor sum.
 
     The matrix is scaled by 2^-j so its 1-norm is at most one, the Taylor
-    series of the scaled exponential is summed from the identity until
-    terms vanish, the sum is squared j times and applied to the vector
+    series of the scaled exponential is summed until a term is 1e-20 of
+    the sum or less, the sum is squared j times and applied to the vector
     once (Moler & Van Loan, SIAM Rev. 45, 3 (2003), method 3).
     Deliberately the simplest provably-convergent scheme: this must stay
     dumber than the closed forms it cross-checks.  A sum or square that
@@ -126,7 +130,7 @@ def taylor_expm_apply(matrix, vector, tol=1e-20, max_terms=600):
                     grown[alo - glo : alo - glo + len(acc)] = acc
                     acc, alo = grown, glo
                 acc[lo - alo : lo - alo + len(term)] += term
-                converged = _frobenius(term) <= tol * _frobenius(acc)
+                converged = _frobenius(term) <= 1e-20 * _frobenius(acc)
                 if converged:
                     break
             dense = np.zeros((n, n), dtype=complex)
@@ -177,7 +181,7 @@ def _energies(params, count):
 
 
 def _series_budget(params):
-    """j_max for c_n at n <= 8, |z| <= 0.9: covers the stop index up to s = 60 by >= 12.
+    """j_max for c_n at n <= _CN_N_MAX, |z| <= 0.9: covers the stop index up to s = 60 by >= 12.
 
     Capped at its s = 60 value, so a larger s fails after bounded work.
     """
@@ -208,12 +212,6 @@ def pi_table(params, n_max, j_max):
             level = list(accumulate(terms, initial=0))
         table.update(((k, j), level[k]) for k in range(1, n_max + 3))
     return table
-
-
-def _check_zmod(zmod):
-    """The one domain of |z| for the three c_n routes: finite and >= 0."""
-    if not 0.0 <= zmod < math.inf:
-        raise ValueError(f"zmod must be finite and >= 0, got {zmod}")
 
 
 def cn_series(params, n, zmod, j_max, table=None):
@@ -303,7 +301,7 @@ def _gl_panels(lo, hi, n_nodes):
     return (half * _GL30_NODES + 0.5 * (a + b)).ravel(), (half * _GL30_WEIGHTS).ravel()
 
 
-def kp_identity_check(params, trunc_levels=20, radial_nodes=200):
+def kp_identity_check(params, trunc_levels=20, radial_nodes=_RADIAL_NODES):
     """Resolution of identity for the displacement family.
 
     The angular integral kills off-diagonal matrix elements exactly, so
@@ -337,7 +335,7 @@ def kp_identity_check(params, trunc_levels=20, radial_nodes=200):
     )
 
 
-def gk_moment_oracle(params, n, nu, radial_nodes=200):
+def gk_moment_oracle(params, n, nu, radial_nodes=_RADIAL_NODES):
     """Radial moment ratio for the lowering-eigenstate measure.
 
     Evaluates 4 int_0^inf r^(2n+s+1) K_nu(2r) dr / (n! Gamma(n+s+1)) by
@@ -389,7 +387,7 @@ def gk_moment_oracle(params, n, nu, radial_nodes=200):
     return ratios[0] if np.ndim(n) == 0 else np.array(ratios)
 
 
-def gk_identity_check(params, trunc_levels=10, radial_nodes=200):
+def gk_identity_check(params, trunc_levels=10, radial_nodes=_RADIAL_NODES):
     """Resolution of identity for the lowering-eigenstate family.
 
     Diagonal moments with the adjudicated index nu = s must all be 1;
@@ -413,7 +411,7 @@ def gk_identity_check(params, trunc_levels=10, radial_nodes=200):
     )
 
 
-def reconstruction_check(params, f, alpha, radial_nodes=200, angular_nodes=64):
+def reconstruction_check(params, f, alpha, radial_nodes=_RADIAL_NODES, angular_nodes=64):
     """Reconstruct |f> from its disc transform by 2-d quadrature.
 
     |f> = int f(zeta, zeta-bar) |zeta, alpha> dmu(zeta) with the invariant
@@ -422,8 +420,9 @@ def reconstruction_check(params, f, alpha, radial_nodes=200, angular_nodes=64):
     the radial moments.  The members |zeta, alpha> at every (modulus,
     angle) node are a radial table (nodes x dim) times the angular
     phases, so the transform and the resynthesis are two matrix products.
-    Reports the worst coefficient deviation.
+    Reports the worst coefficient deviation; f must lie on the well of params.
     """
+    _check_well(params, f)
     angular_nodes = _count(angular_nodes, "angular_nodes", 1)
     dim = f.dim
     s = params.strength_sum
@@ -455,8 +454,8 @@ def reconstruction_check(params, f, alpha, radial_nodes=200, angular_nodes=64):
 # ---------------------------------------------------------------------------
 
 
-def _check_displacement(params, dim=120):
-    worst = tail = 0.0
+def _check_displacement(params):
+    dim, worst, tail = 120, 0.0, 0.0
     for z in (0.2 + 0j, 0.5 + 0.4j, 1.0j):
         oracle = displacement_oracle(params, z, dim)
         closed = kp_from_z(params, z, params.alpha, dim)
@@ -473,7 +472,7 @@ def _check_displacement(params, dim=120):
 def _check_cn_triple(params, table):
     j_max = _series_budget(params)
     worst = 0.0
-    for n in range(0, 9):
+    for n in range(_CN_N_MAX + 1):
         for zmod in (0.1, 0.4, 0.9):
             series = cn_series(params, n, zmod, j_max, table)
             closed = cn_closed_form(params, n, zmod)
@@ -489,11 +488,12 @@ def _check_cn_triple(params, table):
         check_name="cn-triple-agreement",
         max_deviation=worst,
         tolerance=1e-10,
-        details={"n_max": 8.0, "j_max": float(j_max)},
+        details={"n_max": float(_CN_N_MAX), "j_max": float(j_max)},
     )
 
 
-def _check_pi_recursion(params, n_max=10, j_max=5):
+def _check_pi_recursion(params):
+    n_max, j_max = 10, 5
     table = pi_table(params, n_max, j_max)
     e = _energies(params, n_max + 3)
     mismatch = any(
@@ -504,10 +504,10 @@ def _check_pi_recursion(params, n_max=10, j_max=5):
     return VerifyReport(check_name="pi-recursion", max_deviation=float(mismatch), tolerance=0.0)
 
 
-def _check_cn_ode(params, table, zmod=0.5, n_max=6):
+def _check_cn_ode(params, table):
     """|z| c_n' = c_{n-1} - n c_n - (n+1)(n+1+s) |z|^2 c_{n+1}, via 5-point stencil."""
     s = params.strength_sum
-    h = 1e-3
+    zmod, n_max, h = 0.5, 6, 1e-3
     j_max = _series_budget(params)
 
     @functools.cache  # the stencil and the three levels share points
@@ -547,9 +547,8 @@ def _check_gk_measure_index(identity):
     )
 
 
-def _check_gk_action(params, dim=120):
-    worst = 0.0
-    resid_worst = 0.0
+def _check_gk_action(params):
+    dim, worst, resid_worst = 120, 0.0, 0.0
     ops = build_matrices(params, dim)  # the labels share params.alpha
     for zmod in (0.5, 1.5, 3.0):
         label = GKLabel(z=zmod, alpha=params.alpha)
@@ -567,31 +566,28 @@ def _check_gk_action(params, dim=120):
     )
 
 
-def _check_temporal_stability(params, dim=80):
+def _check_temporal_stability(params):
+    dim, pairs, worst = 80, 5, 0.0
     rng = np.random.default_rng(20240817)
-    worst = 0.0
-    for _ in range(5):
+    for _ in range(pairs):
         t = float(rng.uniform(0.1, 2.0))
         zeta = complex(*(0.5 * rng.uniform(-1, 1, 2)))
-        kp_label = KPLabel(zeta=zeta, alpha=params.alpha)
-        relabeled = kp_coefficients(params, evolve(kp_label, t), dim)
-        evolved = evolve_coefficients(kp_coefficients(params, kp_label, dim), t)
-        worst = max(worst, float(np.max(np.abs(relabeled.coeffs - evolved.coeffs))))
         z = complex(*rng.uniform(-1.5, 1.5, 2))
-        gk_label = GKLabel(z=z, alpha=params.alpha)
-        relabeled = gk_coefficients(params, evolve(gk_label, t), dim)
-        evolved = evolve_coefficients(gk_coefficients(params, gk_label, dim), t)
-        worst = max(worst, float(np.max(np.abs(relabeled.coeffs - evolved.coeffs))))
+        labels = (KPLabel(zeta=zeta, alpha=params.alpha), GKLabel(z=z, alpha=params.alpha))
+        for build, label in zip((kp_coefficients, gk_coefficients), labels):
+            relabeled = build(params, evolve(label, t), dim)
+            evolved = evolve_coefficients(build(params, label, dim), t)
+            worst = max(worst, float(np.max(np.abs(relabeled.coeffs - evolved.coeffs))))
     return VerifyReport(
         check_name="temporal-stability",
         max_deviation=worst,
         tolerance=1e-12,
-        details={"pairs": 5.0, "dim": float(dim)},
+        details={"pairs": float(pairs), "dim": float(dim)},
     )
 
 
-def _check_reconstruction(params, dim=12):
-    coeffs = np.zeros(dim, dtype=complex)
+def _check_reconstruction(params):
+    coeffs = np.zeros(12, dtype=complex)
     coeffs[0] = 1.0 / math.sqrt(2.0)
     coeffs[3] = 1.0 / math.sqrt(2.0)
     f = StateVector(coeffs, params)
@@ -599,8 +595,8 @@ def _check_reconstruction(params, dim=12):
 
 
 def _cn_table(params):
-    """The pi_table to n_max = 8 that both c_n checks read."""
-    return pi_table(params, 8, _series_budget(params))
+    """The pi_table to n_max = _CN_N_MAX that both c_n checks read."""
+    return pi_table(params, _CN_N_MAX, _series_budget(params))
 
 
 # each check gets params and shared(f) = f(params), made at most once per run_suite call

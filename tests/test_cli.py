@@ -499,6 +499,15 @@ def test_readme_flag_table_matches_commands():
         assert table[command] == set(flags) - set(ptcs.cli._COMMON), command
 
 
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    def broken(config):
+        return {}["missing detail"]
+
+    monkeypatch.setitem(ptcs.cli._COMMANDS, "spectrum", (broken, ptcs.cli._COMMANDS["spectrum"][1]))
+    with pytest.raises(KeyError, match="missing detail"):
+        main(["spectrum", *BASE])
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv, name",

@@ -7,17 +7,21 @@ every count in the package, dim included, has one rule, defined in
 specfun, with NaN failing every real-domain bound.
 Where a shared definition replaced per-site code, its test compares the
 two bit for bit; the parity-pair tail of the minimum-uncertainty states
-is pinned to its formula to 1e-13.
+is pinned to its formula to 1e-13.  A function given a state and its
+well's parameters refuses a state built on another well by one rule, and
+each library module's __all__ is the one declaration of its public names.
 """
 
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptcs import operators, position, specfun, states, verify
+import ptcs
+from ptcs import operators, position, report, specfun, states, verify
 from ptcs.operators import (
     PHASE_ULP_MAX,
     TAIL_WARN,
@@ -441,6 +445,8 @@ NAN_TAKERS = {  # site -> (the domain check's message, the call); each once gave
     "cn_series/zmod": ("zmod", lambda: verify.cn_series(P22, 2, math.nan, 80)),
     "gk_moment_oracle/nu": ("nu", lambda: verify.gk_moment_oracle(P22, 2, math.nan)),
     "gk_mean_g/zmod": ("zmod", lambda: states.gk_mean_g(P22, math.nan)),
+    "gk_mean_g/zmod=inf": ("zmod", lambda: states.gk_mean_g(P22, math.inf)),
+    "StateVector/tail_bound": ("tail_bound", lambda: StateVector(np.ones(1), P22, tail_bound=math.nan)),
 }
 
 
@@ -450,6 +456,40 @@ def test_nan_fails_the_real_domain_check(site):
     message, call = NAN_TAKERS[site]
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# one rule for a state met with its well's parameters
+# ---------------------------------------------------------------------------
+
+
+F_KP = kp_coefficients(P22, KPLabel(zeta=0.2), 12)
+WELL_TAKERS = {  # site -> the call with the well's parameters and a state
+    "wavefunction": lambda params, f: position.wavefunction(params, f, position.gauss_legendre_grid(params, 40)),
+    "analytic_repr": lambda params, f: states.analytic_repr(params, f, KPLabel(zeta=0.2, alpha=params.alpha)),
+    "reconstruction_check": lambda params, f: verify.reconstruction_check(params, f, params.alpha),
+}
+
+
+class TestWellRule:
+    @pytest.mark.parametrize("other", [PotentialParams(3.5, 1.5), PotentialParams(2.0, 2.5),
+                                       PotentialParams(2.0, 2.0, a=2.0)])
+    @pytest.mark.parametrize("site", sorted(WELL_TAKERS))
+    def test_another_well_is_a_value_error_naming_both(self, site, other):
+        with pytest.raises(ValueError, match=re.escape(f"state built on {P22}, not on {other}")):
+            WELL_TAKERS[site](other, F_KP)
+
+    @pytest.mark.parametrize("site", sorted(WELL_TAKERS))
+    def test_alpha_may_differ(self, site):
+        # evolution shifts the state's alpha; the well stays the same
+        evolved = states.evolve_coefficients(F_KP, 0.7)
+        assert evolved.params.alpha != P22.alpha
+        WELL_TAKERS[site](P22, evolved)
+
+    def test_wavefunction_refuses_a_grid_of_another_width(self):
+        grid = position.gauss_legendre_grid(PotentialParams(2.0, 2.0, a=2.0), 40)
+        with pytest.raises(ValueError, match=r"^grid spans 6\.28.*not pi a = 3\.14"):
+            position.wavefunction(P22, F_KP, grid)
 
 
 # a count tested by hand: x % 1 == 0, x != int(x), x == x // 1, x.is_integer()
@@ -471,3 +511,28 @@ class TestOneDefinition:
     def test_the_pattern_sees_every_form_it_replaced(self):
         for old in ("n % 1 == 0", "n != int(n)", "m == m // 1", "float(n).is_integer()"):
             assert HAND_ROLLED.search(old)
+
+
+LIBRARY = (operators, position, report, specfun, states, verify)
+
+
+class TestPublicAPI:
+    """Each library module's __all__ is the one declaration of its public names."""
+
+    def test_package_exports_the_union_of_the_module_lists(self):
+        exported = {name: value for name, value in vars(ptcs).items()
+                    if not name.startswith("_") and not isinstance(value, type(ptcs))}
+        declared = {name: getattr(module, name) for module in LIBRARY for name in module.__all__}
+        assert exported.keys() == declared.keys()
+        for name, value in declared.items():
+            assert exported[name] is value, name
+
+    def test_no_name_is_declared_twice(self):
+        counts = Counter(name for module in LIBRARY for name in module.__all__)
+        assert [name for name, n in counts.items() if n > 1] == []
+
+    def test_every_declared_name_is_defined_in_its_module(self):
+        for module in LIBRARY:
+            for name in module.__all__:
+                value = getattr(module, name)
+                assert getattr(value, "__module__", module.__name__) == module.__name__, name

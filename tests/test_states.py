@@ -280,6 +280,17 @@ class TestGKMeanG:
         with pytest.raises(ValueError):
             gk_mean_g(P22, -0.1)
 
+    @pytest.mark.parametrize("zmod", [400.0, 1e3])
+    def test_past_the_float_range_raises_instead_of_nan(self, zmod):
+        # both 0F1 values are inf here, and their ratio was NaN
+        with pytest.raises(ArithmeticError, match=rf"zmod = {zmod}, s = 4\.0"):
+            gk_mean_g(P22, zmod)
+
+    def test_working_range_keeps_its_values(self):
+        # the values before the float-range check, bit for bit
+        assert gk_mean_g(P22, 250.0).hex() == "0x1.f4840a3f07ea2p+8"
+        assert gk_mean_g(P22, 290.0).hex() == "0x1.2241bdac96fadp+9"
+
 
 def is_loop_reference(params, label, dim):
     """The per-level numpy loop that built minimum-uncertainty states before the two-term recurrence."""

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import math
 import warnings
 from fractions import Fraction
@@ -688,6 +689,17 @@ def test_cn_routes_share_one_zmod_domain(route, zmod):
         route(zmod)
 
 
+def test_suite_checks_take_no_options():
+    # each check's budgets are written once, in its body; no caller sets them
+    checks = [f for name, f in vars(verify).items()
+              if name.startswith("_check_") and getattr(f, "__module__", None) == verify.__name__]
+    assert len(checks) >= 8
+    for check in checks:
+        params = inspect.signature(check).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in params), check.__name__
+    assert "tol" not in inspect.signature(taylor_expm_apply).parameters
+
+
 def test_series_budget_capped_above_validated_strengths():
     # the budget stops growing past s = 60, so a larger s ends in
     # ConvergenceError after bounded work rather than an unbounded table
@@ -930,13 +942,14 @@ def test_oracle_imports_from_closed_form_layer_pinned():
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("ptcs") for a in node.names)
     assert imported == {
-        "operators": {"StateVector", "build_matrices"},
+        # _check_well and _check_zmod are shared input rules, not closed forms
+        "operators": {"StateVector", "_check_well", "build_matrices"},
         "report": {"VerifyReport"},
         "specfun": {
             "ConvergenceError", "_count", "_levels", "bessel_k", "gamma_ratio", "jacobi_fn_ss", "log_gamma",
         },
         "states": {
-            "GKLabel", "KPLabel", "evolve", "evolve_coefficients",
+            "GKLabel", "KPLabel", "_check_zmod", "evolve", "evolve_coefficients",
             "gk_annihilation_residual", "gk_coefficients", "kp_coefficients", "kp_from_z",
         },
     }
